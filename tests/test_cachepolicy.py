@@ -642,3 +642,58 @@ class TestScalarTrajectoryLock:
             [golden["mean"], golden["std"]],
             rtol=1e-9,
         )
+
+
+class TestMultiTargetTrajectoryLock:
+    """Golden multi-target trajectory, captured before the training loops
+    were unified.
+
+    The committee agent picks each batch from the previous round's
+    ensemble, so the sampling order pins every round's trained model,
+    not just the last one.  The per-target estimates and the
+    ``predict_all`` rows pin the final ensemble directly.
+    """
+
+    SAMPLED = [
+        177, 548, 363, 398, 297, 132, 476, 32, 280, 168, 595, 541, 71, 3,
+        523, 517, 338, 489, 454, 78, 442, 420, 25, 114, 380, 599, 359, 355,
+        598, 351, 591, 358, 594, 347, 354, 579, 339, 587, 119, 597, 436,
+        547, 506, 208, 527, 356, 596, 239, 111, 235, 352, 107, 357, 115,
+        335, 231, 343, 336, 583, 103,
+    ]
+    PER_TARGET = {
+        "ipc": (12.100366306128219, 10.046235418533218),
+        "hit_rate": (2.881244578208582, 3.2845075423092505),
+        "energy_nj": (9.814788748971747, 6.786231748399418),
+    }
+    PREDICT_ALL = [
+        [0.07885077240341704, 0.6568522461594423, 0.3286307837229602],
+        [0.079167177911554, 0.6496010444653141, 0.3320709397770411],
+        [0.08119152087143322, 0.6474452167929854, 0.33231395003170905],
+    ]
+
+    def test_trajectory_matches_golden(self):
+        result = api.explore(
+            study="cache-policy",
+            workload="osc-tight",
+            target_error=1e-6,
+            max_simulations=60,
+            batch_size=20,
+            seed=7,
+            agent="committee",
+            training=TrainingConfig.fast_settings(),
+        )
+        assert result.sampled_indices == self.SAMPLED
+        estimate = result.final_estimate
+        assert estimate.target_names == tuple(self.PER_TARGET)
+        for name, (mean, std) in self.PER_TARGET.items():
+            per = estimate.for_target(name)
+            np.testing.assert_allclose(
+                [per.mean, per.std], [mean, std], rtol=1e-9
+            )
+        matrix = ParameterEncoder(get_study("cache-policy").space).encode_space()
+        np.testing.assert_allclose(
+            result.predictor.predict_all(matrix[:3]),
+            self.PREDICT_ALL,
+            rtol=1e-9,
+        )
