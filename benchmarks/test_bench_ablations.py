@@ -18,12 +18,12 @@ from repro.core import (
     CrossValidationEnsemble,
     KNNRegressor,
     LinearRegression,
-    MultiTaskNetwork,
     ParameterEncoder,
     PolynomialRegression,
     TrainingConfig,
     percentage_errors,
 )
+from repro.api import fit_ensemble
 from repro.core.context import RunContext
 from repro.core.explorer import DesignSpaceExplorer
 from repro.cpu import get_interval_simulator
@@ -217,18 +217,18 @@ def test_ablation_multitask(once):
                 for m in metrics
             ]
         )
-        split = int(0.85 * TRAIN_SIZE)
         training = TrainingConfig(max_epochs=1500, patience=25)
-        model = MultiTaskNetwork(
-            x_full.shape[1], 3, training=training, rng=rng
-        )
-        model.fit(
-            x_full[idx[:split]], y[:split], x_full[idx[split:]], y[split:]
-        )
+        model = fit_ensemble(
+            x_full[idx],
+            y,
+            training=training,
+            seed=SEED,
+            target_names=("ipc", "l1d_mpi", "l2_mpi"),
+        ).ensemble.predictor
         heldout = np.ones(len(truth), dtype=bool)
         heldout[idx] = False
         errors = percentage_errors(
-            model.predict_primary(x_full[heldout]), truth[heldout]
+            model.predict(x_full[heldout]), truth[heldout]
         )
         return float(errors.mean())
 

@@ -9,9 +9,11 @@ Times the two hot paths the vectorized kernels replaced:
 * full-design-space ensemble prediction through the cached design
   matrix + chunked batch kernel versus the legacy per-configuration
   encode-and-predict loop, on the memory-system study (23 040 points);
-* full 10-fold ensemble fits through the fold-stacked
-  ``engine="stacked"`` path versus the legacy per-fold loop
-  (``engine="perfold"``), on both studies.  The floor-gated config is
+* full 10-fold ensemble fits through the fold-stacked trainer behind
+  :class:`CrossValidationEnsemble` versus a minimal per-fold reference
+  loop kept in this bench (one network per fold, trained alone through
+  :class:`TrainingKernel` with the recipe's early-stopping checks), on
+  both studies.  The floor-gated config is
   the paper's literal Section 3.1 recipe (sigmoid hidden units,
   learning rate 0.001, momentum 0.5, per-sample presentation), where
   per-epoch Python dispatch dominates and stacking pays off most; the
@@ -42,12 +44,13 @@ from bench_utils import emit
 
 from repro.core import encoding
 from repro.core.context import RunContext
-from repro.core.crossval import CrossValidationEnsemble
+from repro.core.crossval import CrossValidationEnsemble, make_folds
 from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
 from repro.core.ensemble import EnsemblePredictor
+from repro.core.error import percentage_errors
 from repro.core.kernels import DEFAULT_PREDICT_CHUNK, TrainingKernel
 from repro.core.network import FeedForwardNetwork
-from repro.core.training import TrainingConfig
+from repro.core.training import TrainingConfig, presentation_probabilities
 from repro.experiments.studies import get_study
 from repro.obs.atomicio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
@@ -225,8 +228,59 @@ def _ensemble_fit_configs():
     }
 
 
+def _perfold_reference(x, y, cfg, k=10, seed=7):
+    """The one-fit-per-fold loop stacking replaced: the same fold layout
+    and seeds as :class:`CrossValidationEnsemble`, but each fold trains
+    its own network alone through :class:`TrainingKernel`, with a
+    weight-health and early-stopping check every ``check_interval``
+    epochs and the best weights restored at the end.  Plateau decay and
+    patience are left out: the timed configs never reach either."""
+    rng = np.random.default_rng(seed)
+    scaler = TargetScaler().fit(y)
+    folds = make_folds(len(y), k, rng)
+    seeds = rng.integers(0, 2**63 - 1, size=k)
+    for i in range(k):
+        es, test = (i + k - 2) % k, (i + k - 1) % k
+        train = np.concatenate(
+            [folds[j] for j in range(k) if j not in (es, test)]
+        )
+        fold_rng = np.random.default_rng(int(seeds[i]))
+        network = FeedForwardNetwork(
+            n_inputs=x.shape[1],
+            hidden_layers=cfg.hidden_layers,
+            hidden_activation=cfg.hidden_activation,
+            rng=fold_rng,
+            init_range=cfg.init_range,
+        )
+        kernel = TrainingKernel(
+            network, x[train], scaler.transform(y[train])[:, None]
+        )
+        probabilities = presentation_probabilities(y[train])
+        best_error, best_weights = float("inf"), network.get_weights()
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = fold_rng.choice(len(train), size=len(train), p=probabilities)
+            kernel.run_epoch(
+                order, cfg.batch_size, cfg.learning_rate, cfg.momentum
+            )
+            if epoch % cfg.check_interval:
+                continue
+            assert network.weight_health().ok(cfg.max_weight)
+            predictions = scaler.inverse_transform(
+                network.predict(x[folds[es]])[:, 0]
+            )
+            error = float(np.mean(percentage_errors(predictions, y[folds[es]])))
+            if error < best_error - 1e-12:
+                best_error, best_weights = error, network.get_weights()
+        network.set_weights(best_weights)
+        percentage_errors(
+            scaler.inverse_transform(network.predict(x[folds[test]])[:, 0]),
+            y[folds[test]],
+        )
+
+
 def _bench_ensemble_fit(study_name, repeats):
-    """Full 10-fold CV fit: stacked engine versus the per-fold loop."""
+    """Full 10-fold CV fit: the stacked trainer versus the per-fold
+    reference loop."""
     study = get_study(study_name)
     matrix = design_matrix(study.space)
     rng = np.random.default_rng(7)
@@ -237,21 +291,19 @@ def _bench_ensemble_fit(study_name, repeats):
     # the bench times training mechanics, not predictive accuracy
     y = 0.5 + 1.5 * np.abs(np.sin(x.sum(axis=1))) + 0.1
 
-    def fit(engine, cfg):
+    def fit_stacked(cfg):
         context = RunContext(
             rng=np.random.default_rng(7),
             telemetry=RunTelemetry(enabled=False),
             metrics=MetricsRegistry(enabled=False),
             n_jobs=1,
         )
-        CrossValidationEnsemble(
-            k=10, training=cfg, context=context, engine=engine
-        ).fit(x, y)
+        CrossValidationEnsemble(k=10, training=cfg, context=context).fit(x, y)
 
     out = {"study": study_name, "n_points": n, "k": 10}
     for key, cfg in _ensemble_fit_configs().items():
-        stacked_s = _best_of(lambda: fit("stacked", cfg), repeats)
-        perfold_s = _best_of(lambda: fit("perfold", cfg), repeats)
+        stacked_s = _best_of(lambda: fit_stacked(cfg), repeats)
+        perfold_s = _best_of(lambda: _perfold_reference(x, y, cfg), repeats)
         out[key] = {
             "batch_size": cfg.batch_size,
             "max_epochs": cfg.max_epochs,

@@ -20,13 +20,8 @@ import sys
 import numpy as np
 
 from repro import get_study
-from repro.core import (
-    DesignSpaceExplorer,
-    MultiTaskNetwork,
-    RunContext,
-    TrainingConfig,
-    percentage_errors,
-)
+from repro.api import fit_ensemble
+from repro.core import DesignSpaceExplorer, RunContext, percentage_errors
 from repro.cpu import get_interval_simulator
 from repro.experiments import encoded_space, full_space_ground_truth
 from repro.search import CommitteeAgent
@@ -91,17 +86,13 @@ def main() -> None:
             for m in metrics
         ]
     )
-    split = int(0.85 * BUDGET)
-    model = MultiTaskNetwork(
-        x_full.shape[1], y.shape[1], training=TrainingConfig(), rng=rng
-    )
-    model.fit(x_full[indices[:split]], y[:split],
-              x_full[indices[split:]], y[split:])
+    # one network per fold with an output head per metric, IPC first
+    model = fit_ensemble(
+        x_full[indices], y, target_names=("ipc", "l1_mpi", "l2_mpi"), seed=9
+    ).ensemble.predictor
     heldout = np.ones(len(truth), dtype=bool)
     heldout[indices] = False
-    errors = percentage_errors(
-        model.predict_primary(x_full[heldout]), truth[heldout]
-    )
+    errors = percentage_errors(model.predict(x_full[heldout]), truth[heldout])
     print(f"  IPC error with shared auxiliary heads: "
           f"{errors.mean():.2f}% +/- {errors.std():.2f}%")
     predictions = model.predict_all(x_full[:3])

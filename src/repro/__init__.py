@@ -36,7 +36,6 @@ from .core import (
     FaultInjectingBackend,
     FaultPlan,
     FeedForwardNetwork,
-    MultiTaskNetwork,
     ParameterEncoder,
     ProcessPoolBackend,
     QueryByCommitteeSampler,
@@ -117,7 +116,6 @@ __all__ = [
     "METRICS",
     "MachineConfig",
     "MetricsRegistry",
-    "MultiTaskNetwork",
     "NominalParameter",
     "ParameterEncoder",
     "PhaseProfiler",

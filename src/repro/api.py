@@ -26,6 +26,7 @@ deprecation policy: anything else may move without notice.
 
 from __future__ import annotations
 
+import warnings
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -255,27 +256,32 @@ def fit_ensemble(
     ``x`` is a feature matrix (e.g. rows of :func:`predict_space`'s
     design matrix), ``y`` the raw simulated targets; rows with
     non-finite targets are masked out and reported on the estimate.
-    A 2-D ``y`` with matching ``target_names`` fits a multitask
-    ensemble whose estimate carries a per-target breakdown
-    (``estimate.for_target(name)``); the first column is the primary
-    target.
+    A 2-D ``y`` with matching ``target_names`` fits one output head
+    per target; the estimate carries a per-target breakdown
+    (``estimate.for_target(name)``) and ``predictor.predict_all`` every
+    target's prediction.  The first column is the primary target.
     Returns a :class:`FitOutcome` whose ``ensemble.predictor`` is the
     trained :class:`EnsemblePredictor` and whose ``estimate`` is the
     cross-validation :class:`ErrorEstimate`.
 
-    ``engine`` picks the fold-training engine (see
-    :data:`repro.core.crossval.ENGINES`): ``"stacked"`` trains all
-    folds through one batched kernel, ``"perfold"`` runs one fit per
-    fold, and the default auto-selects by the context's worker budget.
-    All engines produce bit-identical ensembles at equal seeds.
+    ``engine`` is deprecated and ignored: every fit trains its folds
+    through the one stacked fold program, and ``context.n_jobs`` only
+    chooses where the folds train.
     """
+    if engine is not None:
+        warnings.warn(
+            "fit_ensemble(engine=...) is deprecated and ignored: every "
+            "fit runs the stacked fold program; use context=RunContext("
+            "n_jobs=...) to choose where folds train (see docs/api.md)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     return fit_cv_round(
         x,
         y,
         k=k,
         training=training,
         min_folds=min_folds,
-        engine=engine,
         context=_resolve(seed, context),
         target_names=tuple(target_names),
     )

@@ -26,10 +26,7 @@ from .crossapp import CrossApplicationModel
 from .crossval import (
     DEFAULT_FOLDS,
     DEFAULT_MIN_FOLDS,
-    ENGINES,
     CrossValidationEnsemble,
-    MultiTaskCrossValidationEnsemble,
-    MultiTaskEnsemblePredictor,
     make_folds,
 )
 from .encoding import (
@@ -62,11 +59,7 @@ from .kernels import (
     ensemble_variance,
     member_predictions,
 )
-from .multitask import (
-    MultiTaskNetwork,
-    auxiliary_target_names,
-    fit_members_stacked,
-)
+from .multitask import auxiliary_target_names
 from .network import (
     DEFAULT_HIDDEN_UNITS,
     DEFAULT_INIT_RANGE,
@@ -86,10 +79,9 @@ from .resilience import (
     RetryPolicy,
 )
 from .training import (
-    EarlyStoppingTrainer,
-    RobustTrainer,
+    FoldResult,
+    FoldTask,
     StackedEnsembleTrainer,
-    StackedFoldOutcome,
     TrainingConfig,
     TrainingHistory,
     presentation_probabilities,
@@ -111,8 +103,6 @@ __all__ = [
     "DEFAULT_MOMENTUM",
     "DEFAULT_PREDICT_CHUNK",
     "DesignSpaceExplorer",
-    "ENGINES",
-    "EarlyStoppingTrainer",
     "EnsemblePredictor",
     "EnsembleTrainingKernel",
     "CellFaultPlan",
@@ -131,27 +121,24 @@ __all__ = [
     "INJECTED_CRASH_EXIT",
     "FeedForwardNetwork",
     "FitOutcome",
+    "FoldResult",
+    "FoldTask",
     "Identity",
     "InjectedFault",
     "KNNRegressor",
     "LinearRegression",
     "MultiTargetScaler",
-    "MultiTaskCrossValidationEnsemble",
-    "MultiTaskEnsemblePredictor",
-    "MultiTaskNetwork",
     "ParameterEncoder",
     "PolynomialRegression",
     "ProcessPoolBackend",
     "QueryByCommitteeSampler",
     "ResilientBackend",
     "RetryPolicy",
-    "RobustTrainer",
     "RunContext",
     "SATURATION_THRESHOLD",
     "SerialBackend",
     "Sigmoid",
     "StackedEnsembleTrainer",
-    "StackedFoldOutcome",
     "Tanh",
     "TargetScaler",
     "TrainingConfig",
@@ -169,7 +156,6 @@ __all__ = [
     "ensemble_variance",
     "evaluate_batch",
     "fit_cv_round",
-    "fit_members_stacked",
     "member_predictions",
     "get_activation",
     "load_checkpoint",

@@ -14,11 +14,10 @@ calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .encoding import TargetScaler
 from .kernels import (
     DEFAULT_PREDICT_CHUNK,
     ensemble_predict,
@@ -30,10 +29,21 @@ from .network import FeedForwardNetwork
 
 @dataclass
 class EnsemblePredictor:
-    """A trained ensemble: member networks plus the shared target scaler."""
+    """A trained ensemble: member networks plus their target scaling.
+
+    ``scaler`` is either one scaler shared by every member (scalar fits
+    scale the whole sample once) or a list with one scaler per member
+    (multi-target fits scale each fold on its own training rows).
+    ``target_names`` names the output columns, primary first, and is
+    empty for scalar fits.  :meth:`predict`, :meth:`member_predictions`
+    and :meth:`prediction_variance` read the primary output — the
+    surface model-guided agents consume — and :meth:`predict_all` every
+    output.
+    """
 
     networks: List[FeedForwardNetwork]
-    scaler: TargetScaler
+    scaler: object
+    target_names: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.networks:
@@ -45,6 +55,18 @@ class EnsemblePredictor:
                 "ensemble members must be trained networks, got None "
                 "(quarantined folds cannot join an ensemble)"
             )
+        if len(self.scalers) != len(self.networks):
+            raise ValueError(
+                f"got {len(self.scalers)} scalers for "
+                f"{len(self.networks)} networks"
+            )
+
+    @property
+    def scalers(self) -> list:
+        """One target scaler per member."""
+        if isinstance(self.scaler, list):
+            return self.scaler
+        return [self.scaler] * len(self.networks)
 
     @property
     def size(self) -> int:
@@ -57,7 +79,7 @@ class EnsemblePredictor:
     ) -> np.ndarray:
         """Denormalized predictions of every member; shape ``(k, n)``."""
         return member_predictions(
-            self.networks, self.scaler, x, chunk_size=chunk_size
+            self.networks, self.scalers, x, chunk_size=chunk_size
         )
 
     def predict(
@@ -72,7 +94,18 @@ class EnsemblePredictor:
         chunking) with results identical to per-point prediction.
         """
         return ensemble_predict(
-            self.networks, self.scaler, x, chunk_size=chunk_size
+            self.networks, self.scalers, x, chunk_size=chunk_size
+        )
+
+    def predict_all(
+        self,
+        x: np.ndarray,
+        chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
+    ) -> np.ndarray:
+        """Mean prediction of every target; shape ``(n, n_targets)``."""
+        return ensemble_predict(
+            self.networks, self.scalers, x, chunk_size=chunk_size,
+            column=None,
         )
 
     def prediction_variance(
@@ -83,5 +116,5 @@ class EnsemblePredictor:
         """Disagreement among members; the active-learning extension uses
         this as its query-by-committee acquisition signal."""
         return ensemble_variance(
-            self.networks, self.scaler, x, chunk_size=chunk_size
+            self.networks, self.scalers, x, chunk_size=chunk_size
         )

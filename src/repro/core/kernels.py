@@ -1,8 +1,8 @@
 """Vectorized training and inference kernels (the modeling hot paths).
 
 Two loops dominate the cost of the paper's procedure once simulation is
-cheap: the per-epoch mini-batch backpropagation inside
-:class:`~repro.core.training.EarlyStoppingTrainer`, and full-design-space
+cheap: the per-epoch mini-batch backpropagation of every fold inside
+:class:`~repro.core.training.StackedEnsembleTrainer`, and full-design-space
 prediction (20,736-23,040 points per benchmark) inside
 :class:`~repro.core.ensemble.EnsemblePredictor`.  This module implements
 both as fused numpy kernels:
@@ -16,12 +16,13 @@ both as fused numpy kernels:
   weight-finiteness check per epoch — non-finite values cannot
   "un-diverge" under gradient descent with momentum, so checking after
   the epoch detects the failure in the same epoch the old per-batch
-  guards did.
+  guards did.  It is the single-network reference the stacked kernel
+  below is held against.
 * :class:`EnsembleTrainingKernel` stacks the weight and velocity
   matrices of many identically shaped member networks — the k
-  cross-validation folds of an ensemble, or several multitask heads —
-  into one set of 3-D tensors ``(members, fan_in + 1, fan_out)`` per
-  layer, and runs forward/backprop/momentum for every *active* member
+  cross-validation folds of an ensemble, each with one output head per
+  target — into one set of 3-D tensors ``(members, fan_in + 1,
+  fan_out)`` per layer, and runs forward/backprop/momentum for every *active* member
   as one batched matmul per layer per batch.  Early stopping, restarts
   and quarantine become per-member active masks: a stopped or diverged
   member's slice is excluded from the batched epoch (frozen in place),
@@ -50,7 +51,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .encoding import TargetScaler
 from .network import (
     SATURATION_THRESHOLD,
     FeedForwardNetwork,
@@ -595,13 +595,19 @@ def _chunk_bounds(n: int, chunk_size: Optional[int]):
 
 def _member_block(
     networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
+    scalers: Sequence,
     x: np.ndarray,
+    column: Optional[int] = 0,
 ) -> np.ndarray:
-    """Denormalized predictions of every member on one chunk; ``(k, c)``."""
-    block = np.empty((len(networks), len(x)))
-    for i, network in enumerate(networks):
-        block[i] = scaler.inverse_transform(forward_raw(network, x)[:, 0])
+    """Denormalized predictions of every member on one chunk: ``(k, c)``
+    for one output ``column``, ``(k, c, n_outputs)`` for ``None``."""
+    outputs = [
+        scaler.inverse_transform(forward_raw(network, x))
+        for network, scaler in zip(networks, scalers)
+    ]
+    block = np.stack(
+        outputs if column is None else [out[:, column] for out in outputs]
+    )
     if not np.isfinite(block).all():
         raise TrainingDiverged(
             "network output contains non-finite values",
@@ -626,55 +632,66 @@ def _validated(
 
 def member_predictions(
     networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
+    scalers: Sequence,
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
-    """Denormalized predictions of every member; shape ``(k, n)``.
+    """Denormalized primary-output predictions of every member; shape
+    ``(k, n)``.  ``scalers`` holds one target scaler per member.
 
     Evaluates ``chunk_size`` points at a time so the peak working set is
     ``O(k * chunk)`` regardless of ``n``; the result is identical to the
     unchunked computation (chunking splits the point axis only).
     """
     x = _validated(networks, x)
-    out = np.empty((len(networks), len(x)))
-    for start, stop in _chunk_bounds(len(x), chunk_size):
-        out[:, start:stop] = _member_block(networks, scaler, x[start:stop])
-    return out
+    return np.concatenate(
+        [
+            _member_block(networks, scalers, x[start:stop])
+            for start, stop in _chunk_bounds(len(x), chunk_size)
+        ],
+        axis=1,
+    )
 
 
 def ensemble_predict(
     networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
+    scalers: Sequence,
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
+    column: Optional[int] = 0,
 ) -> np.ndarray:
-    """Mean of the members' denormalized predictions; shape ``(n,)``.
+    """Mean of the members' denormalized predictions: shape ``(n,)`` for
+    one output ``column``, ``(n, n_outputs)`` for ``column=None``.
 
     The member reduction is per point, so computing it chunk by chunk is
     bit-identical to ``member_predictions(...).mean(axis=0)`` while only
     ever materializing one ``(k, chunk)`` block.
     """
     x = _validated(networks, x)
-    out = np.empty(len(x))
-    for start, stop in _chunk_bounds(len(x), chunk_size):
-        out[start:stop] = _member_block(
-            networks, scaler, x[start:stop]
-        ).mean(axis=0)
-    return out
+    return np.concatenate(
+        [
+            _member_block(networks, scalers, x[start:stop], column).mean(
+                axis=0
+            )
+            for start, stop in _chunk_bounds(len(x), chunk_size)
+        ]
+    )
 
 
 def ensemble_variance(
     networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
+    scalers: Sequence,
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
-    """Population variance of member predictions per point; shape ``(n,)``."""
+    """Population variance of member primary-output predictions per
+    point; shape ``(n,)``."""
     x = _validated(networks, x)
-    out = np.empty(len(x))
-    for start, stop in _chunk_bounds(len(x), chunk_size):
-        out[start:stop] = _member_block(
-            networks, scaler, x[start:stop]
-        ).var(axis=0, ddof=0)
-    return out
+    return np.concatenate(
+        [
+            _member_block(networks, scalers, x[start:stop]).var(
+                axis=0, ddof=0
+            )
+            for start, stop in _chunk_bounds(len(x), chunk_size)
+        ]
+    )

@@ -3,235 +3,17 @@
 Simulators emit several statistics besides IPC (cache miss rates, branch
 misprediction rate, bus occupancy).  Those metrics cannot be *inputs* — at
 prediction time no simulation has run — but a network with one output per
-metric shares its hidden layer across tasks, letting the correlations
-sharpen the main IPC output.  Only the IPC head is read at prediction
-time.
+metric shares its hidden layers across tasks, letting the correlations
+sharpen the main IPC output.  Such a fit is an ordinary cross-validation
+ensemble with extra output heads: pass the metric names as
+``target_names`` to :class:`~repro.core.crossval.CrossValidationEnsemble`
+(or :func:`repro.api.fit_ensemble`) with one target column per metric,
+IPC first.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
-
-from .encoding import MultiTargetScaler
-from .error import percentage_errors
-from .kernels import EnsembleTrainingKernel, TrainingKernel
-from .network import FeedForwardNetwork, TrainingDiverged, warn_unseeded
-from .training import TrainingConfig
-
-
-class MultiTaskNetwork:
-    """A shared-hidden-layer network with one output head per metric.
-
-    Parameters
-    ----------
-    n_inputs:
-        Feature width.
-    n_tasks:
-        Number of simultaneously learned metrics; task 0 is the metric of
-        interest (IPC).
-    training:
-        Hyperparameters (hidden layout, learning rate, momentum...).
-    rng:
-        Seeded generator.
-    """
-
-    def __init__(
-        self,
-        n_inputs: int,
-        n_tasks: int,
-        training: Optional[TrainingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if n_tasks < 1:
-            raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-        self.training = training or TrainingConfig()
-        if rng is None:
-            warn_unseeded("MultiTaskNetwork")
-            rng = np.random.default_rng()
-        self.rng = rng
-        self.n_tasks = n_tasks
-        self.network = FeedForwardNetwork(
-            n_inputs=n_inputs,
-            hidden_layers=self.training.hidden_layers,
-            n_outputs=n_tasks,
-            hidden_activation=self.training.hidden_activation,
-            rng=self.rng,
-            init_range=self.training.init_range,
-        )
-        self.scaler = MultiTargetScaler()
-
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        x_es: np.ndarray,
-        y_es: np.ndarray,
-    ) -> List[float]:
-        """Train on raw multi-column targets with early stopping on the
-        primary task's percentage error; returns the early-stopping trace."""
-        cfg = self.training
-        x = np.asarray(x, dtype=np.float64)
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        x_es = np.asarray(x_es, dtype=np.float64)
-        y_es = np.atleast_2d(np.asarray(y_es, dtype=np.float64))
-        if y.shape[1] != self.n_tasks or y_es.shape[1] != self.n_tasks:
-            raise ValueError(f"targets must have {self.n_tasks} columns")
-
-        self.scaler.fit(y)
-        y_norm = self.scaler.transform(y)
-        primary = y[:, 0]
-        if np.any(primary <= 0):
-            raise ValueError("primary targets must be positive")
-        inverse = 1.0 / primary
-        probabilities = inverse / inverse.sum()
-
-        n = len(x)
-        kernel = TrainingKernel(self.network, x, y_norm)
-        history: List[float] = []
-        best_error = float("inf")
-        best_weights = self.network.get_weights()
-        stale_checks = 0
-        for epoch in range(1, cfg.max_epochs + 1):
-            order = self.rng.choice(n, size=n, p=probabilities)
-            kernel.run_epoch(
-                order,
-                cfg.batch_size,
-                learning_rate=cfg.learning_rate,
-                momentum=cfg.momentum,
-            )
-            if epoch % cfg.check_interval:
-                continue
-            error = float(
-                np.mean(percentage_errors(self.predict_primary(x_es), y_es[:, 0]))
-            )
-            history.append(error)
-            if error < best_error - 1e-12:
-                best_error = error
-                best_weights = self.network.get_weights()
-                stale_checks = 0
-            else:
-                stale_checks += 1
-                if stale_checks >= cfg.patience:
-                    break
-        self.network.set_weights(best_weights)
-        return history
-
-    def predict_all(self, x: np.ndarray) -> np.ndarray:
-        """Denormalized predictions for every task; shape ``(n, n_tasks)``."""
-        return self.scaler.inverse_transform(self.network.predict(x))
-
-    def predict_primary(self, x: np.ndarray) -> np.ndarray:
-        """Predictions of the main metric (IPC); shape ``(n,)``."""
-        return self.predict_all(x)[:, 0]
-
-
-def fit_members_stacked(
-    members: Sequence[MultiTaskNetwork],
-    x: np.ndarray,
-    y: np.ndarray,
-    x_es: np.ndarray,
-    y_es: np.ndarray,
-) -> List[List[float]]:
-    """Train several multitask networks through one fold-stacked kernel.
-
-    Equivalent to calling :meth:`MultiTaskNetwork.fit` on each member in
-    turn — same rng streams, same early-stopping traces, bit-identical
-    final weights — but every still-active member's epoch runs as one
-    batched matmul stack through
-    :class:`~repro.core.kernels.EnsembleTrainingKernel`, so an ensemble
-    of differently seeded heads costs a fraction of ``len(members)``
-    sequential fits.  Members must share one architecture (the kernel
-    validates); each keeps its own generator, scaler and early-stopping
-    schedule.  Returns one early-stopping trace per member, in order.
-
-    A member whose weights go non-finite raises
-    :class:`~repro.core.network.TrainingDiverged` exactly like the
-    per-member kernel; because epochs interleave, siblings may then be
-    mid-fit rather than complete, so treat the whole batch as failed.
-    """
-    if not members:
-        return []
-    cfg = members[0].training
-    x = np.asarray(x, dtype=np.float64)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    x_es = np.asarray(x_es, dtype=np.float64)
-    y_es = np.atleast_2d(np.asarray(y_es, dtype=np.float64))
-    y_norms = []
-    for member in members:
-        if y.shape[1] != member.n_tasks or y_es.shape[1] != member.n_tasks:
-            raise ValueError(
-                f"targets must have {member.n_tasks} columns"
-            )
-        member.scaler.fit(y)
-        y_norms.append(member.scaler.transform(y))
-    primary = y[:, 0]
-    if np.any(primary <= 0):
-        raise ValueError("primary targets must be positive")
-    inverse = 1.0 / primary
-    probabilities = inverse / inverse.sum()
-
-    n = len(x)
-    kernel = EnsembleTrainingKernel(
-        [member.network for member in members], [x] * len(members), y_norms
-    )
-    histories: List[List[float]] = [[] for _ in members]
-    best_errors = [float("inf")] * len(members)
-    best_weights = [member.network.get_weights() for member in members]
-    stale_checks = [0] * len(members)
-    epochs = [0] * len(members)
-
-    while True:
-        active = kernel.active_members
-        if len(active) == 0:
-            break
-        orders = np.stack(
-            [
-                members[i].rng.choice(n, size=n, p=probabilities)
-                for i in active
-            ]
-        )
-        kernel.run_epoch(
-            orders,
-            cfg.batch_size,
-            np.full(len(active), cfg.learning_rate),
-            cfg.momentum,
-        )
-        finite = kernel.members_finite()
-        for i in active:
-            if not finite[i]:
-                # the same failure TrainingKernel.run_epoch raises for a
-                # single network, detected at the same epoch granularity
-                raise TrainingDiverged(
-                    "training epoch produced non-finite weights",
-                    reason="non-finite weights",
-                )
-            epochs[i] += 1
-            epoch = epochs[i]
-            if epoch % cfg.check_interval == 0:
-                predictions = members[i].scaler.inverse_transform(
-                    kernel.predict_member(i, x_es)
-                )[:, 0]
-                error = float(
-                    np.mean(percentage_errors(predictions, y_es[:, 0]))
-                )
-                histories[i].append(error)
-                if error < best_errors[i] - 1e-12:
-                    best_errors[i] = error
-                    best_weights[i] = kernel.get_member_weights(i)
-                    stale_checks[i] = 0
-                else:
-                    stale_checks[i] += 1
-                    if stale_checks[i] >= cfg.patience:
-                        kernel.deactivate(i)
-            if epoch >= cfg.max_epochs:
-                kernel.deactivate(i)
-
-    for i, member in enumerate(members):
-        kernel.set_member_weights(i, best_weights[i])
-        kernel.sync_member(i)
-    return histories
+from typing import List, Sequence
 
 
 def auxiliary_target_names(metrics: Sequence[str]) -> List[str]:

@@ -36,12 +36,13 @@ class TrainingDiverged(RuntimeError):
     Raised instead of letting NaN/inf propagate silently into ensemble
     predictions and error estimates: by the finite-guards in
     :meth:`FeedForwardNetwork.forward` / :meth:`~FeedForwardNetwork.gradients`,
-    by the mid-train divergence detection in
-    :class:`~repro.core.training.EarlyStoppingTrainer`, and by
-    :class:`~repro.core.training.RobustTrainer` once its restart budget
-    is exhausted.  ``reason`` names the failure mode ("weight explosion",
-    "dead network", ...) and ``epoch`` where it was detected, so the
-    error is recoverable (restart / quarantine) rather than opaque.
+    by the per-fold divergence detection of
+    :class:`~repro.core.training.StackedEnsembleTrainer`, and by
+    :class:`~repro.core.crossval.CrossValidationEnsemble` when fewer
+    than ``min_folds`` folds survive their restart budgets.  ``reason``
+    names the failure mode ("weight explosion", "dead network", ...) and
+    ``epoch`` where it was detected, so the error is recoverable
+    (restart / quarantine) rather than opaque.
     """
 
     def __init__(

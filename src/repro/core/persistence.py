@@ -22,7 +22,16 @@ FORMAT_VERSION = 1
 
 
 def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
-    """Write ``predictor`` to ``path`` (``.npz``)."""
+    """Write ``predictor`` to ``path`` (``.npz``).
+
+    The format stores one shared target scaler, so per-member scalers
+    (multi-target ensembles) are rejected rather than half-saved.
+    """
+    if not isinstance(predictor.scaler, TargetScaler):
+        raise ValueError(
+            "only ensembles with one shared TargetScaler can be saved; "
+            "multi-target ensembles scale each member separately"
+        )
     arrays: Dict[str, np.ndarray] = {
         "format_version": np.array(FORMAT_VERSION),
         "n_networks": np.array(predictor.size),

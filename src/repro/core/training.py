@@ -13,28 +13,30 @@ Implements Section 3.1-3.3's training recipe:
 The recipe can diverge — near-zero targets make the inverse-target
 presentation weights degenerate, a too-large step size explodes the
 weights, saturated units go dead — so every fit runs under *training
-health* supervision: :class:`EarlyStoppingTrainer` checks for
-non-finite/exploding early-stopping error, weight explosion and dead
-(constant-prediction) networks at every check interval and raises
-:class:`~repro.core.network.TrainingDiverged` instead of returning
-garbage, and :class:`RobustTrainer` retries a diverged fit with
-deterministically reseeded weights up to ``max_restarts`` times.
+health* supervision: at every check interval a fold is tested for
+non-finite/exploding early-stopping error, weight explosion and a dead
+(constant-prediction) network, and a diverged fold is retried with
+deterministically reseeded weights up to ``max_restarts`` times before
+it is quarantined.
+
+:class:`StackedEnsembleTrainer` is the one training loop: it runs the
+recipe for every fold of a cross-validation ensemble, scalar or
+multi-target, through fold-stacked
+:class:`~repro.core.kernels.EnsembleTrainingKernel` s.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.metrics import METRICS, MetricsRegistry
-from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
-from .context import RunContext, resolve_context
-from .encoding import TargetScaler
+from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import RunTelemetry
 from .error import percentage_errors
-from .kernels import EnsembleTrainingKernel, TrainingKernel
+from .kernels import EnsembleTrainingKernel
 from .network import (
     DEFAULT_HIDDEN_UNITS,
     DEFAULT_INIT_RANGE,
@@ -55,10 +57,8 @@ def presentation_probabilities(
 ) -> np.ndarray:
     """Per-point presentation frequency, proportional to 1/target.
 
-    The Section 3.1 percentage-error weighting; shared by the per-fold
-    :class:`EarlyStoppingTrainer` and the fold-stacked
-    :class:`StackedEnsembleTrainer` so both paths validate and weight
-    targets identically.
+    The Section 3.1 percentage-error weighting, computed once per fold
+    from its primary-target column.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     finite = np.isfinite(targets)
@@ -108,7 +108,7 @@ class TrainingConfig:
     decay_after: int = 10
     weight_by_inverse_target: bool = True
     # -- training-health supervision ----------------------------------
-    #: restarts a :class:`RobustTrainer` may spend on a diverged fit
+    #: reseeded restarts a diverged fold may spend before quarantine
     max_restarts: int = 2
     #: early-stopping percentage error above which a fit counts as
     #: diverged (a useful model is within ~tens of percent; 1e6% means
@@ -196,411 +196,107 @@ class TrainingHistory:
     stopped_early: bool = False
 
 
-class EarlyStoppingTrainer:
-    """Train one network on raw targets with an early-stopping set.
+@dataclass(frozen=True)
+class FoldTask:
+    """One cross-validation fold's training job.
 
-    Parameters
-    ----------
-    config:
-        Hyperparameters.
-    rng:
-        Generator driving weighted presentation order.
-    telemetry:
-        Optional event stream; when enabled the trainer emits one
-        ``train.check`` event per early-stopping evaluation (the
-        percentage-error "loss" the recipe tracks) and one
-        ``train.stop`` event per run.
-    metrics:
-        Registry receiving the ``train.epochs`` counter and the
-        ``train.fit`` timer; defaults to the global registry.
-    context:
-        Alternative to the individual ``rng`` / ``telemetry`` /
-        ``metrics`` parameters: one
-        :class:`~repro.core.context.RunContext` supplying all three
-        (pass either the context or the individual fields, not both).
+    Row indices into the shared dataset (so tasks travel to pool
+    workers without the data), the fold's integer seed, and the target
+    scaler its network trains against: any scaler whose ``transform`` /
+    ``inverse_transform`` work column-wise on an ``(n, n_targets)``
+    matrix (:class:`~repro.core.encoding.TargetScaler`,
+    :class:`~repro.core.encoding.MultiTargetScaler`).
     """
 
-    def __init__(
-        self,
-        config: Optional[TrainingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        context: Optional[RunContext] = None,
-    ):
-        ctx = resolve_context(
-            context,
-            rng=rng,
-            telemetry=telemetry,
-            metrics=metrics,
-            owner="EarlyStoppingTrainer",
-        )
-        self.config = config or TrainingConfig()
-        self.rng = ctx.rng
-        self.telemetry = ctx.telemetry
-        self.metrics = ctx.metrics
-
-    def presentation_probabilities(self, targets: np.ndarray) -> np.ndarray:
-        """Per-point presentation frequency, proportional to 1/target."""
-        return presentation_probabilities(
-            targets, self.config.weight_by_inverse_target
-        )
-
-    def _diverged(
-        self,
-        message: str,
-        *,
-        reason: str,
-        epoch: int,
-        history: TrainingHistory,
-        **payload,
-    ) -> None:
-        """Record a divergence and raise :class:`TrainingDiverged`.
-
-        Single choke point for every failure mode the trainer detects:
-        emits one ``train.diverged`` event naming the reason, counts the
-        epochs spent on the doomed fit (so ``train.epochs`` stays an
-        honest work measure across restarts) and raises.
-        """
-        self.metrics.inc("train.epochs", history.epochs_run)
-        self.metrics.inc("train.diverged")
-        self.telemetry.emit(
-            "train.diverged", reason=reason, epoch=epoch, **payload
-        )
-        raise TrainingDiverged(message, reason=reason, epoch=epoch)
-
-    def train(
-        self,
-        network: FeedForwardNetwork,
-        x_train: np.ndarray,
-        y_train: np.ndarray,
-        x_es: np.ndarray,
-        y_es: np.ndarray,
-        scaler: TargetScaler,
-    ) -> TrainingHistory:
-        """Train ``network`` in place; returns the early-stopping history.
-
-        ``y_train``/``y_es`` are raw (unnormalized) targets; ``scaler``
-        maps them to the network's [0, 1] output range and back.
-        """
-        cfg = self.config
-        x_train = np.asarray(x_train, dtype=np.float64)
-        y_train = np.asarray(y_train, dtype=np.float64).reshape(-1)
-        x_es = np.asarray(x_es, dtype=np.float64)
-        y_es = np.asarray(y_es, dtype=np.float64).reshape(-1)
-        if len(x_train) != len(y_train):
-            raise ValueError("x_train and y_train must have equal length")
-        if len(x_es) != len(y_es):
-            raise ValueError("x_es and y_es must have equal length")
-        if len(x_train) == 0 or len(x_es) == 0:
-            raise ValueError("training and early-stopping sets must be non-empty")
-
-        y_norm = scaler.transform(y_train)[:, None]
-        # presentation weights depend only on the (fixed) targets: one
-        # computation per fit, reused by every epoch's draw
-        probabilities = self.presentation_probabilities(y_train)
-        kernel = TrainingKernel(network, x_train, y_norm)
-        n = len(x_train)
-        fit_start = time.perf_counter()
-        history = TrainingHistory()
-        best_weights = network.get_weights()
-        checks_without_improvement = 0
-        learning_rate = cfg.learning_rate
-        dead_streak = 0
-
-        for epoch in range(1, cfg.max_epochs + 1):
-            # one epoch = n presentations drawn at the weighted frequency
-            order = self.rng.choice(n, size=n, p=probabilities)
-            try:
-                kernel.run_epoch(
-                    order,
-                    cfg.batch_size,
-                    learning_rate=learning_rate,
-                    momentum=cfg.momentum,
-                )
-            except TrainingDiverged as exc:
-                self._diverged(
-                    str(exc), reason=exc.reason, epoch=epoch, history=history
-                )
-            history.epochs_run = epoch
-            if epoch % cfg.check_interval:
-                continue
-
-            health = network.weight_health()
-            if not health.ok(cfg.max_weight):
-                reason = (
-                    "weight explosion" if health.finite
-                    else "non-finite weights"
-                )
-                self._diverged(
-                    f"unhealthy weights at epoch {epoch}: "
-                    f"max |w| = {health.max_abs:g}, "
-                    f"saturation = {health.saturation:.3f}",
-                    reason=reason,
-                    epoch=epoch,
-                    history=history,
-                    max_abs=health.max_abs,
-                    saturation=health.saturation,
-                )
-            try:
-                raw = network.predict(x_es)[:, 0]
-            except TrainingDiverged as exc:
-                self._diverged(
-                    str(exc), reason=exc.reason, epoch=epoch, history=history
-                )
-            predictions = scaler.inverse_transform(raw)
-            es_error = float(np.mean(percentage_errors(predictions, y_es)))
-            if not np.isfinite(es_error) or es_error > cfg.divergence_error:
-                self._diverged(
-                    f"early-stopping error {es_error:g} exceeds the "
-                    f"divergence threshold {cfg.divergence_error:g}",
-                    reason="exploding es_error",
-                    epoch=epoch,
-                    history=history,
-                    es_error=es_error,
-                )
-            # dead-network detection needs >= 2 ES points: spread over a
-            # single prediction is zero by definition, not a collapse
-            if len(raw) >= 2 and float(np.ptp(raw)) < DEAD_PREDICTION_SPREAD:
-                dead_streak += 1
-                if dead_streak >= cfg.dead_checks:
-                    self._diverged(
-                        f"constant predictions for {dead_streak} consecutive "
-                        "checks: the network is dead (zeroed or saturated)",
-                        reason="dead network",
-                        epoch=epoch,
-                        history=history,
-                        dead_streak=dead_streak,
-                    )
-            else:
-                dead_streak = 0
-            history.es_errors.append(es_error)
-            self.telemetry.emit(
-                "train.check",
-                epoch=epoch,
-                es_error=es_error,
-                best_error=min(history.best_error, es_error),
-                learning_rate=learning_rate,
-            )
-            if es_error < history.best_error - 1e-12:
-                history.best_error = es_error
-                history.best_epoch = epoch
-                best_weights = network.get_weights()
-                checks_without_improvement = 0
-            else:
-                checks_without_improvement += 1
-                if (
-                    cfg.lr_decay < 1.0
-                    and checks_without_improvement % cfg.decay_after == 0
-                ):
-                    # plateau: anneal the step size and resume from the
-                    # best weights seen so far
-                    learning_rate *= cfg.lr_decay
-                    network.set_weights(best_weights)
-                    network.reset_momentum()
-                if checks_without_improvement >= cfg.patience:
-                    history.stopped_early = True
-                    break
-
-        network.set_weights(best_weights)
-        self.metrics.inc("train.epochs", history.epochs_run)
-        self.metrics.observe("train.fit", time.perf_counter() - fit_start)
-        self.telemetry.emit(
-            "train.stop",
-            epochs_run=history.epochs_run,
-            best_epoch=history.best_epoch,
-            best_error=history.best_error,
-            stopped_early=history.stopped_early,
-            n_train=n,
-            n_es=len(x_es),
-        )
-        return history
+    train_idx: np.ndarray
+    es_idx: np.ndarray
+    test_idx: np.ndarray
+    seed: int
+    scaler: object
 
 
-class RobustTrainer:
-    """Build-and-train wrapper that retries diverged fits deterministically.
-
-    Owns the whole fit — weight initialization, presentation order and
-    early stopping — from one integer ``seed`` (normally the per-fold
-    seed drawn from the run RNG).  When :class:`EarlyStoppingTrainer`
-    raises :class:`~repro.core.network.TrainingDiverged`, the fit is
-    retried with freshly reseeded weights up to ``max_restarts`` times:
-
-    * attempt 0 uses ``np.random.default_rng(seed)`` for both weight
-      init and presentation order — bit-identical to an unwrapped fit,
-      so healthy runs reproduce pre-robustness trajectories exactly;
-    * restart attempt ``a`` uses ``np.random.default_rng([seed, a])``,
-      a distinct but fully seed-determined stream, so retries are
-      bit-reproducible too.
-
-    Each restart emits a ``train.restart`` event and counter; exhausting
-    the budget re-raises ``TrainingDiverged`` with reason
-    ``"restarts exhausted"`` for the caller (fold quarantine) to handle.
-    """
-
-    def __init__(
-        self,
-        config: Optional[TrainingConfig] = None,
-        *,
-        seed: int = 0,
-        max_restarts: Optional[int] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        self.config = config or TrainingConfig()
-        self.seed = int(seed)
-        self.max_restarts = (
-            self.config.max_restarts if max_restarts is None else max_restarts
-        )
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.metrics = metrics if metrics is not None else METRICS
-
-    def _attempt_rng(self, attempt: int) -> np.random.Generator:
-        if attempt == 0:
-            # bit-identical to the pre-RobustTrainer single-attempt path
-            return np.random.default_rng(self.seed)
-        return np.random.default_rng([self.seed, attempt])
-
-    def build_network(
-        self, n_inputs: int, rng: np.random.Generator
-    ) -> FeedForwardNetwork:
-        """A freshly initialized network drawn from ``rng``."""
-        cfg = self.config
-        return FeedForwardNetwork(
-            n_inputs=n_inputs,
-            hidden_layers=cfg.hidden_layers,
-            hidden_activation=cfg.hidden_activation,
-            rng=rng,
-            init_range=cfg.init_range,
-        )
-
-    def fit(
-        self,
-        x_train: np.ndarray,
-        y_train: np.ndarray,
-        x_es: np.ndarray,
-        y_es: np.ndarray,
-        scaler: TargetScaler,
-    ) -> Tuple[FeedForwardNetwork, TrainingHistory]:
-        """Train a fresh network; returns ``(network, history)``.
-
-        Raises :class:`~repro.core.network.TrainingDiverged` only after
-        ``max_restarts + 1`` attempts all diverged.
-        """
-        x_train = np.asarray(x_train, dtype=np.float64)
-        last: Optional[TrainingDiverged] = None
-        for attempt in range(self.max_restarts + 1):
-            rng = self._attempt_rng(attempt)
-            network = self.build_network(x_train.shape[1], rng)
-            trainer = EarlyStoppingTrainer(
-                self.config,
-                context=RunContext(
-                    rng=rng, telemetry=self.telemetry, metrics=self.metrics
-                ),
-            )
-            try:
-                history = trainer.train(
-                    network, x_train, y_train, x_es, y_es, scaler
-                )
-                return network, history
-            except TrainingDiverged as exc:
-                last = exc
-                if attempt < self.max_restarts:
-                    self.metrics.inc("train.restarts")
-                    self.telemetry.emit(
-                        "train.restart",
-                        attempt=attempt + 1,
-                        max_restarts=self.max_restarts,
-                        seed=self.seed,
-                        reason=exc.reason,
-                    )
-        assert last is not None
-        raise TrainingDiverged(
-            f"training diverged on all {self.max_restarts + 1} attempts "
-            f"(seed {self.seed}; last failure: {last})",
-            reason="restarts exhausted",
-            epoch=last.epoch,
-        )
-
-
-# ----------------------------------------------------------------------
-# fold-stacked ensemble training
-# ----------------------------------------------------------------------
 @dataclass
-class StackedFoldOutcome:
-    """One fold's result from a stacked ensemble fit.
+class FoldResult:
+    """One trained fold plus the observability it recorded.
 
-    Field-for-field the payload of
-    :class:`~repro.core.crossval.FoldResult`: the trained network (or
-    ``None`` for a quarantined fold), held-out test errors, attributed
-    wall seconds, the final attempt's epoch count (0 when quarantined,
-    matching the per-fold path), the fold's buffered telemetry events as
-    ``(name, payload)`` pairs, its local metrics registry, and the
-    quarantine error string.
+    ``test_errors`` holds the held-out percentage errors, one column per
+    target.  ``events`` carries the fold's telemetry as ``(name,
+    payload)`` pairs and ``metrics`` its local registry; the caller
+    :meth:`replay`-s both into its own hooks in fold order, so the
+    streams do not depend on where the fold trained.
+
+    A quarantined fold — training exhausted its restart budget — has
+    ``network=None``, no test errors and ``error`` describing the last
+    failure.
     """
 
     network: Optional[FeedForwardNetwork]
     test_errors: np.ndarray
     wall_s: float
     epochs: int
-    events: List = field(default_factory=list)
+    events: List[Tuple[str, Dict[str, object]]] = field(default_factory=list)
     metrics: Optional[MetricsRegistry] = None
     error: Optional[str] = None
 
+    @property
+    def diverged(self) -> bool:
+        """Whether this fold was quarantined."""
+        return self.network is None
 
+    def replay(self, telemetry: RunTelemetry, metrics: MetricsRegistry) -> None:
+        """Re-emit recorded events and merge recorded metrics."""
+        for name, payload in self.events:
+            telemetry.emit(name, **payload)
+        if self.metrics is not None:
+            metrics.merge(self.metrics)
+
+
+# ----------------------------------------------------------------------
+# fold-stacked ensemble training
+# ----------------------------------------------------------------------
 class _FoldProgram:
-    """The per-fold early-stopping/restart state machine.
+    """One fold's early-stopping/restart state machine.
 
-    Replicates :meth:`EarlyStoppingTrainer.train` plus
-    :meth:`RobustTrainer.fit` exactly — same rng streams, same check
-    order, same divergence messages, same telemetry and counters — but
-    driven one epoch at a time against one member slice of an
+    Driven one epoch at a time against one member slice of an
     :class:`~repro.core.kernels.EnsembleTrainingKernel`, so many folds'
-    epochs can share batched matmuls while each fold stops, decays,
-    restarts and quarantines on its own schedule.
+    epochs share batched matmuls while each fold checks, decays, stops,
+    restarts and quarantines on its own schedule.  Targets are
+    ``(n, n_targets)`` matrices; early stopping, presentation weights
+    and the health checks all read the primary (first) column, and the
+    program never branches on the number of targets.
     """
 
     def __init__(
         self,
-        fold: int,
         member: int,
         x_train: np.ndarray,
         y_train: np.ndarray,
         x_es: np.ndarray,
         y_es: np.ndarray,
-        scaler: TargetScaler,
+        scaler,
         config: TrainingConfig,
         seed: int,
         telemetry: RunTelemetry,
         metrics: MetricsRegistry,
     ):
-        if len(x_train) != len(y_train):
-            raise ValueError("x_train and y_train must have equal length")
-        if len(x_es) != len(y_es):
-            raise ValueError("x_es and y_es must have equal length")
         if len(x_train) == 0 or len(x_es) == 0:
             raise ValueError(
                 "training and early-stopping sets must be non-empty"
             )
-        self.fold = fold
         self.member = member
         self.x_train = x_train
-        self.y_train = y_train
-        self.y_norm = scaler.transform(y_train)[:, None]
+        self.y_norm = scaler.transform(y_train)
         self.x_es = x_es
-        self.y_es = y_es
+        self.y_es = y_es[:, 0]
         self.scaler = scaler
         self.cfg = config
         self.seed = int(seed)
         self.telemetry = telemetry
         self.metrics = metrics
         self.n = len(x_train)
-        # fixed targets: one probability computation per fold, like the
-        # once-per-fit hoisting in EarlyStoppingTrainer.train
+        # fixed targets: one probability computation per fold
         self.probabilities = presentation_probabilities(
-            y_train, config.weight_by_inverse_target
+            y_train[:, 0], config.weight_by_inverse_target
         )
         self.attempt = 0
         self.done = False
@@ -610,9 +306,10 @@ class _FoldProgram:
         self.attempt_wall = 0.0
         self.start_attempt()
 
-    # -- the RobustTrainer layer ---------------------------------------
+    # -- restarts --------------------------------------------------------
     def _attempt_rng(self) -> np.random.Generator:
-        # bit-identical to RobustTrainer._attempt_rng
+        # attempt 0 draws from the fold seed itself; restart a from the
+        # distinct but seed-determined stream [seed, a]
         if self.attempt == 0:
             return np.random.default_rng(self.seed)
         return np.random.default_rng([self.seed, self.attempt])
@@ -621,12 +318,12 @@ class _FoldProgram:
         """Fresh rng, network and early-stopping state for one attempt."""
         cfg = self.cfg
         self.rng = self._attempt_rng()
-        # network init consumes the rng exactly as RobustTrainer's
-        # build_network does; the same generator then drives this
-        # attempt's presentation draws
+        # network init consumes the rng first; the same generator then
+        # drives this attempt's presentation draws
         self.network = FeedForwardNetwork(
             n_inputs=self.x_train.shape[1],
             hidden_layers=cfg.hidden_layers,
+            n_outputs=self.y_norm.shape[1],
             hidden_activation=cfg.hidden_activation,
             rng=self.rng,
             init_range=cfg.init_range,
@@ -643,12 +340,12 @@ class _FoldProgram:
         """This attempt's next weighted presentation order."""
         return self.rng.choice(self.n, size=self.n, p=self.probabilities)
 
-    # -- the EarlyStoppingTrainer layer --------------------------------
+    # -- early stopping and health checks --------------------------------
     def _diverged(
         self, message: str, *, reason: str, epoch: int, **payload
     ) -> None:
-        # mirrors EarlyStoppingTrainer._diverged: count the doomed
-        # epochs, emit one train.diverged event, raise
+        # count the doomed epochs (train.epochs stays an honest work
+        # measure across restarts), emit one train.diverged event, raise
         self.metrics.inc("train.epochs", self.history.epochs_run)
         self.metrics.inc("train.diverged")
         self.telemetry.emit(
@@ -657,29 +354,22 @@ class _FoldProgram:
         raise TrainingDiverged(message, reason=reason, epoch=epoch)
 
     def after_epoch(
-        self,
-        kernel: EnsembleTrainingKernel,
-        weights_finite: Optional[bool] = None,
+        self, kernel: EnsembleTrainingKernel, weights_finite: bool
     ) -> None:
         """Post-epoch bookkeeping for this fold's member slice.
 
-        One iteration of the EarlyStoppingTrainer.train loop body —
-        finite guard, periodic health/ES check, plateau decay, patience
-        — with divergence handled by the restart/quarantine layer
-        instead of propagating.  ``weights_finite`` accepts the member's
-        entry of a batched :meth:`EnsembleTrainingKernel.members_finite`
-        check so the per-epoch guard costs one reduction per layer for
-        the whole group instead of one per fold.
+        Finite guard, periodic health/early-stopping check, plateau
+        decay and patience, with divergence handed to the
+        restart/quarantine layer.  ``weights_finite`` is the member's
+        entry of one batched
+        :meth:`EnsembleTrainingKernel.members_finite` check per epoch.
         """
         cfg = self.cfg
         self.epoch += 1
         epoch = self.epoch
-        if weights_finite is None:
-            weights_finite = kernel.member_weights_finite(self.member)
         try:
             if not weights_finite:
-                # the per-fold kernel raises before epochs_run is set:
-                # the failed epoch is not counted
+                # the failed epoch is not counted as run
                 self._diverged(
                     "training epoch produced non-finite weights",
                     reason="non-finite weights",
@@ -714,10 +404,11 @@ class _FoldProgram:
                 saturation=health.saturation,
             )
         try:
-            raw = kernel.predict_member(self.member, self.x_es)[:, 0]
+            outputs = kernel.predict_member(self.member, self.x_es)
         except TrainingDiverged as exc:
             self._diverged(str(exc), reason=exc.reason, epoch=epoch)
-        predictions = self.scaler.inverse_transform(raw)
+        raw = outputs[:, 0]
+        predictions = self.scaler.inverse_transform(outputs)[:, 0]
         es_error = float(np.mean(percentage_errors(predictions, self.y_es)))
         if not np.isfinite(es_error) or es_error > cfg.divergence_error:
             self._diverged(
@@ -727,6 +418,8 @@ class _FoldProgram:
                 epoch=epoch,
                 es_error=es_error,
             )
+        # dead-network detection needs >= 2 ES points: spread over a
+        # single prediction is zero by definition, not a collapse
         if len(raw) >= 2 and float(np.ptp(raw)) < DEAD_PREDICTION_SPREAD:
             self.dead_streak += 1
             if self.dead_streak >= cfg.dead_checks:
@@ -759,6 +452,8 @@ class _FoldProgram:
                 cfg.lr_decay < 1.0
                 and self.checks_without_improvement % cfg.decay_after == 0
             ):
+                # plateau: anneal the step size and resume from the
+                # best weights seen so far
                 self.learning_rate *= cfg.lr_decay
                 kernel.set_member_weights(self.member, self.best_weights)
                 kernel.reset_member_velocity(self.member)
@@ -786,7 +481,8 @@ class _FoldProgram:
     def _restart_or_quarantine(
         self, kernel: EnsembleTrainingKernel, exc: TrainingDiverged
     ) -> None:
-        """The RobustTrainer retry loop, one divergence at a time."""
+        """Reseed a diverged fold, or quarantine it once the
+        ``max_restarts`` budget is spent."""
         if self.attempt < self.cfg.max_restarts:
             self.metrics.inc("train.restarts")
             self.telemetry.emit(
@@ -800,9 +496,6 @@ class _FoldProgram:
             self.start_attempt()
             kernel.reinit_member(self.member, self.network)
         else:
-            # the exact message the per-fold quarantine records:
-            # RobustTrainer's restarts-exhausted wrapper formatted by
-            # _train_one_fold as "{reason}: {message}"
             self.error = (
                 "restarts exhausted: training diverged on all "
                 f"{self.cfg.max_restarts + 1} attempts "
@@ -814,25 +507,23 @@ class _FoldProgram:
 
 
 class StackedEnsembleTrainer:
-    """Train a whole CV ensemble through one fold-stacked kernel.
+    """Train cross-validation folds through fold-stacked kernels.
 
-    Drop-in replacement for the per-fold serial loop in
-    :class:`~repro.core.crossval.CrossValidationEnsemble`: given the
-    same ``(train_idx, es_idx, test_idx, seed)`` fold tasks it produces
-    bit-identical networks, test errors, telemetry events and counters
-    — but runs every still-active fold's epoch as one batched matmul
-    stack instead of ``k`` Python-level fits.  Folds are grouped by
-    training-set length (``n % k != 0`` makes fold sizes differ by at
-    most one, so at most three groups) because stacking requires equal
-    GEMM shapes for bit-identity; each group trains through its own
+    The single training loop behind every ensemble fit.  Given
+    :class:`FoldTask` s it runs every still-active fold's epoch as one
+    batched matmul stack instead of one Python-level fit per fold.
+    Folds are grouped by training-set length (``n % k != 0`` makes fold
+    sizes differ by at most one) because stacking requires equal GEMM
+    shapes for bit-identity; each group trains through its own
     :class:`~repro.core.kernels.EnsembleTrainingKernel` until every
     member has early-stopped, exhausted its epoch budget, or been
     quarantined.
 
-    Observability matches the process-pool path: each fold records into
-    its own buffer and the caller replays buffers in fold order, so the
-    event stream is identical to both the per-fold serial and the
-    parallel engines.
+    Each fold's trajectory is independent of which folds it is stacked
+    with, so fitting folds one at a time, all together, or in shares
+    across pool workers gives bit-identical results.  Each fold records
+    its observability into its own buffer, returned on its
+    :class:`FoldResult` for the caller to replay in fold order.
     """
 
     def __init__(self, config: Optional[TrainingConfig] = None):
@@ -842,48 +533,38 @@ class StackedEnsembleTrainer:
         self,
         x: np.ndarray,
         y: np.ndarray,
-        tasks: List,
-        scaler: TargetScaler,
+        tasks: Sequence[FoldTask],
         capture_telemetry: bool = False,
         capture_metrics: bool = False,
-    ) -> List[StackedFoldOutcome]:
-        """Train every fold task; returns one outcome per task, in order.
+    ) -> List[FoldResult]:
+        """Train every fold task; returns one result per task, in order.
 
-        ``tasks`` carries ``(train_idx, es_idx, test_idx, seed)`` tuples
-        as produced by ``CrossValidationEnsemble._fold_tasks``.  When
-        ``capture_telemetry`` / ``capture_metrics`` are set each fold
-        records events and counters into a private buffer (returned on
-        the outcome for fold-order replay); otherwise the hooks are
-        no-ops, exactly like the process-pool workers' capture flags.
+        ``y`` is the ``(n, n_targets)`` target matrix the task indices
+        address.  When ``capture_telemetry`` / ``capture_metrics`` are
+        set each fold records events and counters into a private buffer;
+        otherwise the hooks are no-ops.
         """
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        y = np.asarray(y, dtype=np.float64)
         programs: List[_FoldProgram] = []
-        fold_telemetry: List[Optional[RunTelemetry]] = []
-        fold_metrics: List[Optional[MetricsRegistry]] = []
-        groups: dict = {}
-        for fold, (train_idx, es_idx, test_idx, seed) in enumerate(tasks):
-            telemetry = (
-                RunTelemetry(enabled=True) if capture_telemetry
-                else NULL_TELEMETRY
-            )
-            metrics = (
-                MetricsRegistry(enabled=True) if capture_metrics
-                else MetricsRegistry(enabled=False)
-            )
-            fold_telemetry.append(telemetry if capture_telemetry else None)
-            fold_metrics.append(metrics if capture_metrics else None)
-            group = groups.setdefault(len(train_idx), [])
+        fold_telemetry: List[RunTelemetry] = []
+        fold_metrics: List[MetricsRegistry] = []
+        groups: Dict[int, List[_FoldProgram]] = {}
+        for task in tasks:
+            telemetry = RunTelemetry(enabled=capture_telemetry)
+            metrics = MetricsRegistry(enabled=capture_metrics)
+            fold_telemetry.append(telemetry)
+            fold_metrics.append(metrics)
+            group = groups.setdefault(len(task.train_idx), [])
             program = _FoldProgram(
-                fold=fold,
                 member=len(group),
-                x_train=x[train_idx],
-                y_train=y[train_idx],
-                x_es=x[es_idx],
-                y_es=y[es_idx],
-                scaler=scaler,
+                x_train=x[task.train_idx],
+                y_train=y[task.train_idx],
+                x_es=x[task.es_idx],
+                y_es=y[task.es_idx],
+                scaler=task.scaler,
                 config=self.config,
-                seed=seed,
+                seed=task.seed,
                 telemetry=telemetry,
                 metrics=metrics,
             )
@@ -893,43 +574,39 @@ class StackedEnsembleTrainer:
         for group in groups.values():
             self._train_group(group)
 
-        outcomes: List[StackedFoldOutcome] = []
-        for fold, (train_idx, es_idx, test_idx, seed) in enumerate(tasks):
-            program = programs[fold]
+        results: List[FoldResult] = []
+        for task, program, telemetry, metrics in zip(
+            tasks, programs, fold_telemetry, fold_metrics
+        ):
             started = time.perf_counter()
             if program.network is not None:
-                test_predictions = scaler.inverse_transform(
-                    program.network.predict(x[test_idx])[:, 0]
+                y_test = y[task.test_idx]
+                predictions = task.scaler.inverse_transform(
+                    program.network.predict(x[task.test_idx])
                 )
-                test_errors = percentage_errors(
-                    test_predictions, y[test_idx]
+                test_errors = percentage_errors(predictions, y_test).reshape(
+                    y_test.shape
                 )
                 epochs = program.history.epochs_run
             else:
-                test_errors = np.empty(0)
+                test_errors = np.empty((0, y.shape[1]))
                 epochs = 0
             program.wall_s += time.perf_counter() - started
-            telemetry = fold_telemetry[fold]
-            events = (
-                [
-                    (event.name, dict(event.payload))
-                    for event in telemetry.events
-                ]
-                if telemetry is not None
-                else []
-            )
-            outcomes.append(
-                StackedFoldOutcome(
+            results.append(
+                FoldResult(
                     network=program.network,
                     test_errors=test_errors,
                     wall_s=program.wall_s,
                     epochs=epochs,
-                    events=events,
-                    metrics=fold_metrics[fold],
+                    events=[
+                        (event.name, dict(event.payload))
+                        for event in telemetry.events
+                    ],
+                    metrics=metrics if capture_metrics else None,
                     error=program.error,
                 )
             )
-        return outcomes
+        return results
 
     def _train_group(self, group: List[_FoldProgram]) -> None:
         """Run one equal-length group of folds to completion."""
@@ -945,8 +622,7 @@ class StackedEnsembleTrainer:
                 break
             step_start = time.perf_counter()
             # one weighted presentation draw per active fold, from that
-            # fold's own attempt rng — the same stream order as the
-            # per-fold loop
+            # fold's own attempt rng
             orders = np.stack([program.draw_order() for program in active])
             learning_rates = np.array(
                 [program.learning_rate for program in active]

@@ -30,8 +30,8 @@ from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.resilience import RetryPolicy
 from repro.core.training import (
-    EarlyStoppingTrainer,
-    RobustTrainer,
+    FoldTask,
+    StackedEnsembleTrainer,
     TrainingConfig,
 )
 
@@ -137,6 +137,22 @@ def test_fit_ensemble_and_predict_space(
     )
 
 
+def test_fit_ensemble_engine_is_a_deprecated_no_op(tiny_space, fast_training):
+    matrix = design_matrix(tiny_space)
+    idx = np.random.default_rng(0).choice(len(matrix), 16, replace=False)
+    x = matrix[idx]
+    y = 1.0 + x.sum(axis=1)
+    plain = fit_ensemble(x, y, k=4, training=fast_training, seed=3)
+    with pytest.warns(DeprecationWarning, match="engine"):
+        legacy = fit_ensemble(
+            x, y, k=4, training=fast_training, seed=3, engine="perfold"
+        )
+    assert legacy.estimate == plain.estimate
+    np.testing.assert_array_equal(
+        legacy.ensemble.predict(x), plain.ensemble.predict(x)
+    )
+
+
 def test_get_study_and_simulate_fn_importable_from_api():
     study = get_study("memory-system")
     assert len(study.space) == 23040
@@ -192,14 +208,6 @@ def test_explore_sampler_kwarg_warns(tiny_space, fast_training):
 # ----------------------------------------------------------------------
 # legacy keyword deprecations on component constructors
 # ----------------------------------------------------------------------
-def test_trainer_legacy_rng_kwarg_warns():
-    with pytest.warns(DeprecationWarning, match="EarlyStoppingTrainer"):
-        trainer = EarlyStoppingTrainer(
-            TrainingConfig(), rng=np.random.default_rng(0)
-        )
-    assert trainer.rng is not None
-
-
 def test_crossval_legacy_rng_kwarg_warns():
     with pytest.warns(DeprecationWarning, match="CrossValidationEnsemble"):
         CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
@@ -221,11 +229,10 @@ def test_crossapp_legacy_rng_kwarg_warns(tiny_space):
 
 def test_legacy_warning_names_replacement():
     with pytest.warns(DeprecationWarning, match=r"context=RunContext"):
-        EarlyStoppingTrainer(TrainingConfig(), rng=np.random.default_rng(0))
+        CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
 
 
 def test_context_spelling_is_clean(strict_deprecations):
-    EarlyStoppingTrainer(TrainingConfig(), context=RunContext.seeded(0))
     CrossValidationEnsemble(k=4, context=RunContext.seeded(0))
 
 
@@ -273,16 +280,22 @@ def test_retry_policy_zero_attempts_rejected():
 # internal paths are warning-free
 # ----------------------------------------------------------------------
 def test_robust_trainer_is_warning_free(strict_deprecations):
+    """The restart-supervised fold trainer runs clean of our own
+    DeprecationWarnings."""
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, (20, 3))
-    y = 0.5 + x.sum(axis=1)
-    scaler = TargetScaler().fit(y)
-    trainer = RobustTrainer(
+    y = (0.5 + x.sum(axis=1))[:, None]
+    task = FoldTask(
+        train_idx=np.arange(4, 20),
+        es_idx=np.arange(4),
+        test_idx=np.arange(4),
+        seed=4,
+        scaler=TargetScaler().fit(y),
+    )
+    (result,) = StackedEnsembleTrainer(
         TrainingConfig(
             hidden_layers=(4,), max_epochs=20, check_interval=10, patience=5
-        ),
-        seed=4,
-    )
-    network, history = trainer.fit(x, y, x[:4], y[:4], scaler)
-    assert history.epochs_run >= 1
-    assert network.predict(x).shape == (20, 1)
+        )
+    ).fit_folds(x, y, [task])
+    assert result.epochs >= 1
+    assert result.network.predict(x).shape == (20, 1)

@@ -193,6 +193,38 @@ class TestSelfHealingCheckpoints:
         with pytest.raises(CheckpointError, match="envelope"):
             load_checkpoint(path, strict=True)
 
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.core.crossval", "MultiTaskEnsemblePredictor"),
+            ("repro.core.multitask", "MultiTaskNetwork"),
+            ("repro.core.training", "RobustTrainer"),
+        ],
+    )
+    def test_pickled_removed_class_rejected(
+        self, tmp_path, monkeypatch, module, name
+    ):
+        """A checkpoint whose predictor pickled a class that no longer
+        exists fails as a CheckpointError, never a raw AttributeError."""
+        import importlib
+
+        owner = importlib.import_module(module)
+        removed = type(name, (), {"__module__": module, "__qualname__": name})
+        monkeypatch.setattr(owner, name, removed, raising=False)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(
+            path,
+            ExplorerCheckpoint(
+                version=CHECKPOINT_VERSION, space_name="s", space_size=8,
+                batch_size=2, k=4, target_error=1.0, max_simulations=8,
+                predictor=removed(),
+            ),
+        )
+        monkeypatch.undo()
+        assert not hasattr(owner, name)
+        with pytest.raises(CheckpointError, match="cannot be unpickled"):
+            load_checkpoint(path, strict=True)
+
     def test_clear_removes_previous_too(self, tmp_path):
         path = tmp_path / "run.ckpt"
         self._save_rounds(path)

@@ -7,10 +7,11 @@ Two layers of guarantees are locked here:
   velocity trajectory equals (``==``, not approximately) training that
   member alone through :class:`TrainingKernel` with the same
   presentation orders;
-* ``engine="stacked"`` through :class:`CrossValidationEnsemble` — the
-  full CV fit reproduces the legacy per-fold engine exactly: same
-  predictions, same error estimate, same telemetry stream, same
-  counters, same quarantine accounting.
+* stacking independence through :class:`CrossValidationEnsemble` —
+  for one target or three, each fold fitted alone (a 1-member kernel),
+  all folds stacked in-process, and the ``n_jobs=2`` worker pool
+  produce the same networks, per-target test errors, telemetry events,
+  counters and quarantine accounting.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from repro.core import CrossValidationEnsemble, RunContext
 from repro.core.kernels import EnsembleTrainingKernel, TrainingKernel
 from repro.core.network import FeedForwardNetwork
-from repro.core.training import TrainingConfig
+from repro.core.training import StackedEnsembleTrainer, TrainingConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
@@ -27,10 +28,15 @@ N_FEATURES = 5
 N_SAMPLES = 40
 
 
-def make_problem(rng, n=250):
+def make_problem(rng, n=250, n_targets=1):
+    """A smooth positive target; with ``n_targets=3`` two correlated
+    auxiliary columns are appended and the names to declare returned."""
     x = rng.random((n, 3))
     y = 0.5 + 0.8 * x[:, 0] + 0.4 * x[:, 1] * x[:, 2]
-    return x, y
+    if n_targets == 1:
+        return x, y, ()
+    aux = np.column_stack([0.1 + 0.5 * x[:, 1], 0.05 + 0.3 * x[:, 0]])
+    return x, np.column_stack([y, aux]), ("ipc", "miss_rate", "mispredicts")
 
 
 def _member(seed, hidden, activation, n_outputs):
@@ -236,76 +242,147 @@ class TestEnsembleTrainingKernel:
             EnsembleTrainingKernel([net_a, net_c], [x, x], [y, y])
 
 
+def _ensemble(n_jobs, training, target_names=(), seed=7, k=4, **kwargs):
+    metrics = MetricsRegistry(enabled=True)
+    context = RunContext(
+        rng=np.random.default_rng(seed),
+        telemetry=RunTelemetry(metrics=metrics),
+        metrics=metrics,
+        n_jobs=n_jobs,
+    )
+    return CrossValidationEnsemble(
+        k=k, training=training, context=context, target_names=target_names,
+        **kwargs,
+    )
+
+
+def _placements(x, y, names, training, k=4, seed=7):
+    """The same fold tasks trained three ways: each fold alone through a
+    1-member kernel, all folds stacked in-process, and round-robin
+    shares across two pool workers.  Returns ``{placement: results}``."""
+    ensemble = _ensemble(1, training, names, seed=seed, k=k)
+    y2 = ensemble._target_matrix(y)
+    tasks, config = ensemble._fold_tasks(y2)
+    trainer = StackedEnsembleTrainer(config)
+    alone = [trainer.fit_folds(x, y2, [task], True, True)[0] for task in tasks]
+    stacked, _ = ensemble._train_folds(x, y2, tasks, config)
+    pooled, _ = _ensemble(2, training, names, seed=seed, k=k)._train_folds(
+        x, y2, tasks, config
+    )
+    return {"alone": alone, "stacked": stacked, "pooled": pooled}
+
+
+def _assert_same_folds(placements):
+    """Every placement's fold results are bit-identical to the first's."""
+    (first, want), *rest = placements.items()
+    for name, got in rest:
+        assert len(got) == len(want), name
+        for fold, (a, b) in enumerate(zip(got, want)):
+            assert a.diverged == b.diverged, (name, fold)
+            assert a.error == b.error, (name, fold)
+            assert a.epochs == b.epochs, (name, fold)
+            np.testing.assert_array_equal(a.test_errors, b.test_errors)
+            assert a.events == b.events, (name, fold)
+            assert a.metrics.counters == b.metrics.counters, (name, fold)
+            if not a.diverged:
+                for wa, wb in zip(a.network.weights, b.network.weights):
+                    np.testing.assert_array_equal(wa, wb)
+
+
 class TestEngineParity:
-    """engine="stacked" is bit-identical to engine="perfold" end to end."""
+    """Where a fold trains — alone, stacked with its siblings, or in a
+    pool worker — never changes how it trains: every placement is
+    bit-identical, for one target and for three."""
 
-    @staticmethod
-    def _fit(engine, n=120, k=4, training=None, seed=7):
-        metrics = MetricsRegistry(enabled=True)
-        telemetry = RunTelemetry(metrics=metrics)
-        context = RunContext(
-            rng=np.random.default_rng(seed),
-            telemetry=telemetry,
-            metrics=metrics,
-            n_jobs=1,
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    def test_fold_placements_bit_identical(self, n_targets, fast_training):
+        x, y, names = make_problem(
+            np.random.default_rng(5), n=122, n_targets=n_targets
         )
-        x, y = make_problem(np.random.default_rng(5), n=n)
-        ensemble = CrossValidationEnsemble(
-            k=k, training=training, context=context, engine=engine
-        )
-        estimate = ensemble.fit(x, y)
-        return ensemble.predict(x[:16]), estimate, telemetry, metrics
+        placements = _placements(x, y, names, fast_training)
+        _assert_same_folds(placements)
+        errors = placements["stacked"][0].test_errors
+        assert errors.shape[1] == n_targets
 
-    # n=122 with k=4 makes ragged folds (sizes 31/31/30/30): the
-    # stacked engine must split them into same-length kernel groups
+    # n=122 with k=4 makes ragged folds (sizes 31/31/30/30): stacking
+    # must split them into same-length kernel groups
     @pytest.mark.parametrize("n,k", [(120, 4), (122, 4), (123, 10)])
     def test_predictions_and_estimate_bit_identical(
         self, n, k, fast_training
     ):
-        stacked, est_s, _, _ = self._fit(
-            "stacked", n=n, k=k, training=fast_training
-        )
-        perfold, est_p, _, _ = self._fit(
-            "perfold", n=n, k=k, training=fast_training
-        )
-        np.testing.assert_array_equal(stacked, perfold)
+        x, y, _ = make_problem(np.random.default_rng(5), n=n)
+        fits = []
+        for n_jobs in (1, 2):
+            ensemble = _ensemble(n_jobs, fast_training, k=k)
+            fits.append((ensemble.fit(x, y), ensemble.predict(x[:16])))
+        (est_s, pred_s), (est_p, pred_p) = fits
+        np.testing.assert_array_equal(pred_s, pred_p)
         assert est_s == est_p
 
     def test_event_streams_identical(self, fast_training):
-        _, _, stacked, _ = self._fit("stacked", training=fast_training)
-        _, _, perfold, _ = self._fit("perfold", training=fast_training)
-        assert [e.name for e in stacked.events] == [
-            e.name for e in perfold.events
-        ]
-        for name in ("train.check", "train.stop"):
-            assert [e.payload for e in stacked.events_named(name)] == [
-                e.payload for e in perfold.events_named(name)
+        for n_targets in (1, 3):
+            x, y, names = make_problem(
+                np.random.default_rng(5), n=120, n_targets=n_targets
+            )
+            streams = []
+            for n_jobs in (1, 2):
+                ensemble = _ensemble(n_jobs, fast_training, names)
+                ensemble.fit(x, y)
+                streams.append(ensemble.telemetry)
+            stacked, pooled = streams
+            assert [e.name for e in stacked.events] == [
+                e.name for e in pooled.events
             ]
+            for name in ("train.check", "train.stop"):
+                assert stacked.events_named(name), name
+                assert [e.payload for e in stacked.events_named(name)] == [
+                    e.payload for e in pooled.events_named(name)
+                ]
 
     def test_counters_identical(self, fast_training):
-        _, _, _, stacked = self._fit("stacked", training=fast_training)
-        _, _, _, perfold = self._fit("perfold", training=fast_training)
-        for counter in ("train.epochs", "crossval.epochs", "crossval.fits"):
-            assert stacked.counter(counter) == perfold.counter(counter)
+        for n_targets in (1, 3):
+            x, y, names = make_problem(
+                np.random.default_rng(5), n=120, n_targets=n_targets
+            )
+            registries = []
+            for n_jobs in (1, 2):
+                ensemble = _ensemble(n_jobs, fast_training, names)
+                ensemble.fit(x, y)
+                registries.append(ensemble.metrics)
+            stacked, pooled = registries
+            for counter in ("train.epochs", "crossval.epochs", "crossval.fits"):
+                assert stacked.counter(counter) == pooled.counter(counter) > 0
 
-    def test_crossval_fit_event_records_engine(self, fast_training):
-        _, _, telemetry, _ = self._fit("stacked", training=fast_training)
-        (done,) = telemetry.events_named("crossval.fit")
-        assert done.payload["engine"] == "stacked"
+    def test_crossval_fit_event_records_workers(self, fast_training):
+        """One ``crossval.fit`` payload shape for every fit; ``n_workers``
+        says where the folds trained."""
+        shapes = set()
+        for n_targets in (1, 3):
+            x, y, names = make_problem(
+                np.random.default_rng(5), n=120, n_targets=n_targets
+            )
+            for n_jobs in (1, 2):
+                ensemble = _ensemble(n_jobs, fast_training, names)
+                ensemble.fit(x, y)
+                (done,) = ensemble.telemetry.events_named("crossval.fit")
+                assert done.payload["n_workers"] == n_jobs
+                assert done.payload["n_targets"] == n_targets
+                assert set(done.payload["per_target_error"]) == set(names)
+                shapes.add(frozenset(done.payload))
+        assert len(shapes) == 1
+        assert "engine" not in next(iter(shapes))
 
     def test_per_fold_early_stop_epochs_match(self, fast_training):
-        """Folds stop at different epochs (the per-fold active mask),
-        and each fold's epoch count equals the per-fold engine's."""
-        _, _, stacked, _ = self._fit("stacked", training=fast_training)
-        _, _, perfold, _ = self._fit("perfold", training=fast_training)
-        epochs_s = [
-            e.payload["epochs_run"] for e in stacked.events_named("train.stop")
-        ]
-        epochs_p = [
-            e.payload["epochs_run"] for e in perfold.events_named("train.stop")
-        ]
-        assert epochs_s == epochs_p
-        assert len(set(epochs_s)) > 1, (
+        """Folds stop at different epochs (the per-fold active mask), and
+        each fold's epoch count is the same however it was placed."""
+        x, y, names = make_problem(np.random.default_rng(5), n=120)
+        placements = _placements(x, y, names, fast_training)
+        epochs = {
+            name: [result.epochs for result in results]
+            for name, results in placements.items()
+        }
+        assert epochs["alone"] == epochs["stacked"] == epochs["pooled"]
+        assert len(set(epochs["stacked"])) > 1, (
             "degenerate fixture: every fold stopped at the same epoch, "
             "so the per-fold mask is not exercised"
         )
@@ -313,7 +390,7 @@ class TestEngineParity:
     @pytest.mark.parametrize("study", ["memory-system", "processor"])
     def test_study_design_matrix_parity(self, study, fast_training):
         """Equal-seed fits on real study design matrices are identical
-        through either engine — the ISSUE's acceptance criterion."""
+        in-process and in the pool."""
         from repro.core.encoding import design_matrix
         from repro.experiments.studies import get_study
 
@@ -324,23 +401,20 @@ class TestEngineParity:
         x = np.array(matrix[idx])
         y = 0.5 + 1.5 * np.abs(np.sin(x.sum(axis=1))) + 0.1
 
-        def fit(engine):
-            context = RunContext(rng=np.random.default_rng(7), n_jobs=1)
-            ensemble = CrossValidationEnsemble(
-                k=5, training=fast_training, context=context, engine=engine
-            )
+        def fit(n_jobs):
+            ensemble = _ensemble(n_jobs, fast_training, k=5)
             estimate = ensemble.fit(x, y)
             return estimate, ensemble.predict(matrix[:64])
 
-        est_s, pred_s = fit("stacked")
-        est_p, pred_p = fit("perfold")
+        est_s, pred_s = fit(1)
+        est_p, pred_p = fit(2)
         assert est_s == est_p
         np.testing.assert_array_equal(pred_s, pred_p)
 
-    @staticmethod
-    def _hostile_fit(engine):
-        """Near-zero target -> skewed presentation sampling -> some
-        folds diverge, restart and get quarantined."""
+    def test_quarantine_parity(self):
+        """Near-zero target -> skewed presentation sampling -> some folds
+        diverge, restart and get quarantined, identically wherever they
+        train."""
         config = TrainingConfig(
             hidden_layers=(8,),
             max_epochs=60,
@@ -349,28 +423,24 @@ class TestEngineParity:
             batch_size=32,
             max_restarts=2,
         )
-        metrics = MetricsRegistry(enabled=True)
-        telemetry = RunTelemetry(metrics=metrics)
-        context = RunContext(
-            rng=np.random.default_rng(3),
-            telemetry=telemetry,
-            metrics=metrics,
-            n_jobs=1,
-        )
-        x, y = make_problem(np.random.default_rng(5), n=120)
-        y = y.copy()
+        x, y, _ = make_problem(np.random.default_rng(5), n=120)
         y[0] = 1e-9
-        ensemble = CrossValidationEnsemble(
-            k=10, training=config, context=context, engine=engine,
-            min_folds=2,
-        )
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            estimate = ensemble.fit(x, y)
-        return estimate, telemetry, metrics
+        placements = _placements(x, y, (), config, k=10, seed=3)
+        _assert_same_folds(placements)
+        stacked = placements["stacked"]
+        assert any(result.diverged for result in stacked)
+        for counter in ("train.diverged", "train.restarts"):
+            assert sum(r.metrics.counter(counter) for r in stacked) > 0
 
-    def test_quarantine_parity(self):
-        est_s, tel_s, met_s = self._hostile_fit("stacked")
-        est_p, tel_p, met_p = self._hostile_fit("perfold")
+        fits = []
+        for n_jobs in (1, 2):
+            ensemble = _ensemble(
+                n_jobs, config, seed=3, k=10, min_folds=2
+            )
+            with pytest.warns(RuntimeWarning, match="quarantined"):
+                estimate = ensemble.fit(x, y)
+            fits.append((estimate, ensemble.telemetry, ensemble.metrics))
+        (est_s, tel_s, met_s), (est_p, tel_p, met_p) = fits
         assert est_s.n_folds_used < est_s.n_folds
         assert est_s == est_p
         for counter in (

@@ -12,7 +12,7 @@ made the swap safe:
   prediction on both studies' design spaces;
 * the cached design matrix is shared, immutable, and row-consistent
   with per-config encoding;
-* ``presentation_probabilities`` is computed once per fit, not once per
+* ``presentation_probabilities`` is computed once per fold, not once per
   epoch.
 """
 
@@ -25,7 +25,7 @@ from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
 from repro.core.ensemble import EnsemblePredictor
 from repro.core.kernels import TrainingKernel
 from repro.core.network import FeedForwardNetwork, TrainingDiverged
-from repro.core.training import EarlyStoppingTrainer, TrainingConfig
+from repro.core.training import FoldTask, StackedEnsembleTrainer, TrainingConfig
 from repro.experiments.studies import get_study
 
 
@@ -78,7 +78,7 @@ def test_kernel_epochs_bitwise_match_legacy_loop(batch_size, activation):
 
 
 def _legacy_train(network, x, y, x_es, y_es, scaler, cfg, rng):
-    """The pre-kernel ``EarlyStoppingTrainer.train`` loop, verbatim.
+    """The pre-kernel early-stopping training loop, verbatim.
 
     Valid for configs with ``lr_decay=1.0`` and a patience that never
     fires, so the trainer's rng stream is exactly one ``choice()`` per
@@ -110,9 +110,10 @@ def _legacy_train(network, x, y, x_es, y_es, scaler, cfg, rng):
 
 
 def test_trainer_batch1_matches_legacy_per_sample_trajectory():
-    """Full EarlyStoppingTrainer fits with ``batch_size=1`` reproduce a
-    hand-driven per-sample legacy fit exactly (same rng stream),
-    including the early-stopping best-weights restore."""
+    """A fold-program fit with ``batch_size=1`` reproduces a hand-driven
+    per-sample legacy fit exactly — network init and presentation order
+    both drawn from ``default_rng(seed)`` — including the
+    early-stopping best-weights restore."""
     cfg = TrainingConfig(
         hidden_layers=(6,),
         hidden_activation="sigmoid",
@@ -127,20 +128,20 @@ def test_trainer_batch1_matches_legacy_per_sample_trajectory():
     data_rng = np.random.default_rng(5)
     x = data_rng.uniform(0.0, 1.0, (30, 4))
     y = 0.5 + x.sum(axis=1)
-    x_es, y_es = x[:6], y[:6]
     scaler = TargetScaler().fit(y)
+    es = np.arange(6)
 
-    trained_net, legacy_net = _twin_networks(4, seed=11)
-    trainer = EarlyStoppingTrainer(cfg, context=None)
-    trainer.rng = np.random.default_rng(42)
-    history = trainer.train(trained_net, x, y, x_es, y_es, scaler)
-    assert history.epochs_run == cfg.max_epochs  # patience never fired
-
-    _legacy_train(
-        legacy_net, x, y, x_es, y_es, scaler, cfg,
-        np.random.default_rng(42),
+    (result,) = StackedEnsembleTrainer(cfg).fit_folds(
+        x, y[:, None], [FoldTask(np.arange(30), es, es, 42, scaler)]
     )
-    for got, want in zip(trained_net.weights, legacy_net.weights):
+    assert result.epochs == cfg.max_epochs  # patience never fired
+
+    rng = np.random.default_rng(42)
+    legacy_net = FeedForwardNetwork(
+        n_inputs=4, hidden_layers=(6,), hidden_activation="sigmoid", rng=rng
+    )
+    _legacy_train(legacy_net, x, y, x[es], y[es], scaler, cfg, rng)
+    for got, want in zip(result.network.weights, legacy_net.weights):
         assert np.array_equal(got, want)
 
 
@@ -251,6 +252,8 @@ def test_design_matrix_distinct_per_encoding(tiny_space):
 # epoch-cost regression: presentation weighting is hoisted out of the loop
 # ----------------------------------------------------------------------
 def test_presentation_probabilities_computed_once_per_fit(monkeypatch):
+    import repro.core.training as training
+
     cfg = TrainingConfig(
         hidden_layers=(4,),
         max_epochs=40,
@@ -259,25 +262,20 @@ def test_presentation_probabilities_computed_once_per_fit(monkeypatch):
         lr_decay=1.0,
         batch_size=8,
     )
-    trainer = EarlyStoppingTrainer(cfg, context=None)
-    trainer.rng = np.random.default_rng(0)
     calls = {"n": 0}
-    original = EarlyStoppingTrainer.presentation_probabilities
+    original = training.presentation_probabilities
 
-    def counting(self, targets):
+    def counting(*args, **kwargs):
         calls["n"] += 1
-        return original(self, targets)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(
-        EarlyStoppingTrainer, "presentation_probabilities", counting
-    )
+    monkeypatch.setattr(training, "presentation_probabilities", counting)
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, (24, 3))
-    y = 0.5 + x.sum(axis=1)
-    scaler = TargetScaler().fit(y)
-    network = FeedForwardNetwork(
-        n_inputs=3, hidden_layers=(4,), rng=np.random.default_rng(8)
+    y = (0.5 + x.sum(axis=1))[:, None]
+    es = np.arange(5)
+    (result,) = StackedEnsembleTrainer(cfg).fit_folds(
+        x, y, [FoldTask(np.arange(5, 24), es, es, 8, TargetScaler().fit(y))]
     )
-    history = trainer.train(network, x, y, x[:5], y[:5], scaler)
-    assert history.epochs_run >= 1
+    assert result.epochs >= 1
     assert calls["n"] == 1

@@ -1,10 +1,16 @@
-"""Tests for the early-stopping trainer and its percentage-error recipe."""
+"""Tests for the early-stopping training recipe and its percentage-error
+weighting, driven one fold at a time through the fold program."""
 
 import numpy as np
 import pytest
 
-from repro.core import FeedForwardNetwork, TargetScaler
-from repro.core.training import EarlyStoppingTrainer, TrainingConfig
+from repro.core import TargetScaler, percentage_errors
+from repro.core.training import (
+    FoldTask,
+    StackedEnsembleTrainer,
+    TrainingConfig,
+    presentation_probabilities,
+)
 
 
 def make_problem(rng, n=300):
@@ -12,6 +18,28 @@ def make_problem(rng, n=300):
     x = rng.random((n, 3))
     y = 0.5 + x[:, 0] * 0.8 + 0.4 * x[:, 1] * x[:, 2]
     return x, y
+
+
+def fit_one(config, x, y, x_es, y_es, seed=0):
+    """Train one fold on ``(x, y)``, early-stopping on ``(x_es, y_es)``.
+
+    Returns the fold's result, the scaler it trained against, its
+    ``train.stop`` payload and its early-stopping error trace.
+    """
+    x_all = np.vstack([x, x_es])
+    y_all = np.concatenate([y, y_es])[:, None]
+    es_idx = np.arange(len(x), len(x_all))
+    scaler = TargetScaler().fit(y)
+    task = FoldTask(np.arange(len(x)), es_idx, es_idx, seed, scaler)
+    (result,) = StackedEnsembleTrainer(config).fit_folds(
+        x_all, y_all, [task], capture_telemetry=True
+    )
+    (stop,) = [payload for name, payload in result.events if name == "train.stop"]
+    checks = [
+        payload["es_error"] for name, payload in result.events
+        if name == "train.check"
+    ]
+    return result, scaler, stop, checks
 
 
 class TestTrainingConfig:
@@ -46,53 +74,45 @@ class TestTrainingConfig:
 
 
 class TestPresentationWeighting:
-    def test_inverse_target_frequencies(self, rng):
-        trainer = EarlyStoppingTrainer(TrainingConfig(), rng)
-        probs = trainer.presentation_probabilities(np.array([1.0, 2.0, 4.0]))
+    def test_inverse_target_frequencies(self):
+        probs = presentation_probabilities(np.array([1.0, 2.0, 4.0]))
         # frequencies proportional to 1/y
         np.testing.assert_allclose(probs, np.array([4, 2, 1]) / 7.0)
 
-    def test_uniform_when_disabled(self, rng):
-        trainer = EarlyStoppingTrainer(
-            TrainingConfig(weight_by_inverse_target=False), rng
+    def test_uniform_when_disabled(self):
+        probs = presentation_probabilities(
+            np.array([1.0, 2.0]), weight_by_inverse_target=False
         )
-        probs = trainer.presentation_probabilities(np.array([1.0, 2.0]))
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
-    def test_rejects_nonpositive_targets(self, rng):
-        trainer = EarlyStoppingTrainer(TrainingConfig(), rng)
+    def test_rejects_nonpositive_targets(self):
         with pytest.raises(ValueError):
-            trainer.presentation_probabilities(np.array([1.0, 0.0]))
+            presentation_probabilities(np.array([1.0, 0.0]))
 
 
 class TestTraining:
     def test_learns_smooth_function(self, rng, fast_training):
         x, y = make_problem(rng)
-        scaler = TargetScaler().fit(y)
-        net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        trainer = EarlyStoppingTrainer(fast_training, rng)
-        history = trainer.train(net, x[:200], y[:200], x[200:], y[200:], scaler)
-        assert history.best_error < 5.0
+        _, _, stop, _ = fit_one(fast_training, x[:200], y[:200], x[200:], y[200:])
+        assert stop["best_error"] < 5.0
 
     def test_early_stopping_restores_best(self, rng):
         x, y = make_problem(rng)
-        scaler = TargetScaler().fit(y)
         cfg = TrainingConfig(
             hidden_layers=(8,), max_epochs=100, patience=3, check_interval=5
         )
-        net = FeedForwardNetwork(3, (8,), rng=rng)
-        trainer = EarlyStoppingTrainer(cfg, rng)
-        history = trainer.train(net, x[:200], y[:200], x[200:], y[200:], scaler)
+        result, scaler, stop, _ = fit_one(
+            cfg, x[:200], y[:200], x[200:], y[200:]
+        )
         # final network must reproduce the best ES error exactly
-        from repro.core import percentage_errors
-
-        predictions = scaler.inverse_transform(net.predict(x[200:])[:, 0])
+        predictions = scaler.inverse_transform(
+            result.network.predict(x[200:])[:, 0]
+        )
         final = float(np.mean(percentage_errors(predictions, y[200:])))
-        assert final == pytest.approx(history.best_error, rel=1e-9)
+        assert final == pytest.approx(stop["best_error"], rel=1e-9)
 
     def test_stops_early_on_plateau(self, rng):
         x, y = make_problem(rng, n=120)
-        scaler = TargetScaler().fit(y)
         cfg = TrainingConfig(
             hidden_layers=(4,),
             max_epochs=5000,
@@ -100,37 +120,34 @@ class TestTraining:
             check_interval=5,
             learning_rate=0.5,  # converges quickly, then plateaus
         )
-        net = FeedForwardNetwork(3, (4,), rng=rng)
-        history = EarlyStoppingTrainer(cfg, rng).train(
-            net, x[:100], y[:100], x[100:], y[100:], scaler
-        )
-        assert history.stopped_early
-        assert history.epochs_run < 100
+        _, _, stop, _ = fit_one(cfg, x[:100], y[:100], x[100:], y[100:])
+        assert stop["stopped_early"]
+        assert stop["epochs_run"] < 100
 
     def test_history_records_checks(self, rng, fast_training):
         x, y = make_problem(rng, n=150)
-        scaler = TargetScaler().fit(y)
-        net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        history = EarlyStoppingTrainer(fast_training, rng).train(
-            net, x[:100], y[:100], x[100:], y[100:], scaler
+        _, _, stop, checks = fit_one(
+            fast_training, x[:100], y[:100], x[100:], y[100:]
         )
-        assert len(history.es_errors) >= 1
-        assert history.best_epoch % fast_training.check_interval == 0
+        assert len(checks) >= 1
+        assert stop["best_epoch"] % fast_training.check_interval == 0
+        assert stop["best_error"] == min(checks)
 
     def test_validation_errors(self, rng, fast_training):
         x, y = make_problem(rng, n=50)
         scaler = TargetScaler().fit(y)
-        net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        trainer = EarlyStoppingTrainer(fast_training, rng)
-        with pytest.raises(ValueError):
-            trainer.train(net, x, y[:10], x, y, scaler)
-        with pytest.raises(ValueError):
-            trainer.train(net, x[:0], y[:0], x, y, scaler)
+        trainer = StackedEnsembleTrainer(fast_training)
+        empty = np.arange(0)
+        some = np.arange(10)
+        for train_idx, es_idx in ((empty, some), (some, empty)):
+            with pytest.raises(ValueError, match="non-empty"):
+                trainer.fit_folds(
+                    x, y[:, None], [FoldTask(train_idx, es_idx, some, 0, scaler)]
+                )
 
     def test_paper_settings_converge_slowly_but_surely(self, rng):
         """The paper's literal hyperparameters on a small problem."""
         x, y = make_problem(rng, n=200)
-        scaler = TargetScaler().fit(y)
         cfg = TrainingConfig(
             hidden_layers=(16,),
             hidden_activation="sigmoid",
@@ -140,12 +157,9 @@ class TestTraining:
             patience=100,
             lr_decay=1.0,
         )
-        net = FeedForwardNetwork(3, (16,), rng=rng)
-        history = EarlyStoppingTrainer(cfg, rng).train(
-            net, x[:150], y[:150], x[150:], y[150:], scaler
-        )
+        _, _, stop, _ = fit_one(cfg, x[:150], y[:150], x[150:], y[150:])
         # slow but must clearly beat the trivial predict-the-mean model
         trivial = float(
             np.mean(np.abs(y[150:] - y[:150].mean()) / y[150:] * 100)
         )
-        assert history.best_error < trivial
+        assert stop["best_error"] < trivial

@@ -1,9 +1,10 @@
 """Tests for the training-health subsystem.
 
 Covers divergence detection (weight health, exploding early-stopping
-error, dead networks), deterministic restarts via ``RobustTrainer``,
-fold quarantine in the cross-validation ensemble, the outlier fault
-mode, and the unseeded-generator warning.
+error, dead networks), deterministic restarts, fold quarantine in the
+cross-validation ensemble — for scalar and multi-target fits alike, all
+through the one fold program — the outlier fault mode, and the
+unseeded-generator warning.
 """
 
 import dataclasses
@@ -16,7 +17,6 @@ import repro.core.network as network_mod
 from repro.core import (
     EnsemblePredictor,
     FeedForwardNetwork,
-    RobustTrainer,
     TargetScaler,
     TrainingConfig,
     TrainingDiverged,
@@ -24,7 +24,8 @@ from repro.core import (
 from repro.core.context import RunContext
 from repro.core.crossval import CrossValidationEnsemble
 from repro.core.faults import FaultInjectingBackend, FaultPlan
-from repro.core.training import EarlyStoppingTrainer
+from repro.core.kernels import EnsembleTrainingKernel
+from repro.core.training import presentation_probabilities
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
@@ -37,21 +38,51 @@ def linear_data(seed=0, n=30):
     return x, y
 
 
-def fit_once(config, x, y, x_es, y_es, telemetry=None, metrics=None):
-    """One plain (unwrapped) training run with deterministic seeds."""
-    scaler = TargetScaler().fit(np.concatenate([y, y_es]))
-    network = FeedForwardNetwork(
-        x.shape[1],
-        config.hidden_layers,
-        hidden_activation=config.hidden_activation,
-        rng=np.random.default_rng(1),
-        init_range=config.init_range,
+def three_targets(x, y):
+    """``y`` plus two positive auxiliary targets, and their names."""
+    aux = np.column_stack([0.1 + 0.5 * x[:, 1], 2.0 + x[:, 2]])
+    return np.column_stack([y, aux]), ("ipc", "hit_rate", "energy")
+
+
+def ensemble(config, k=4, seed=3, n_jobs=1, target_names=(), **kwargs):
+    """A seeded ensemble recording into fresh telemetry and metrics."""
+    metrics = MetricsRegistry(enabled=True)
+    context = RunContext(
+        rng=np.random.default_rng(seed),
+        telemetry=RunTelemetry(),
+        metrics=metrics,
+        n_jobs=n_jobs,
     )
-    trainer = EarlyStoppingTrainer(
-        config, np.random.default_rng(2), telemetry, metrics
+    return CrossValidationEnsemble(
+        k=k, training=config, context=context, target_names=target_names,
+        **kwargs,
     )
-    history = trainer.train(network, x, y, x_es, y_es, scaler)
-    return network, history
+
+
+def fit_all_diverging(config, x, y, **kwargs):
+    """Fit where every fold must diverge: no restarts, so every fold is
+    quarantined and the fit raises ``min_folds``.  Returns the ensemble
+    for its recorded telemetry and metrics."""
+    cv = ensemble(dataclasses.replace(config, max_restarts=0), **kwargs)
+    with pytest.raises(TrainingDiverged) as info:
+        cv.fit(x, y)
+    assert info.value.reason == "min_folds"
+    return cv
+
+
+def inject_nonfinite(monkeypatch, calls):
+    """Make the first ``calls`` batched finiteness checks report every
+    member diverged (``None``: every check)."""
+    original = EnsembleTrainingKernel.members_finite
+    seen = {"n": 0}
+
+    def flaky(self):
+        seen["n"] += 1
+        if calls is None or seen["n"] <= calls:
+            return np.zeros(self.n_members, dtype=bool)
+        return original(self)
+
+    monkeypatch.setattr(EnsembleTrainingKernel, "members_finite", flaky)
 
 
 class TestWeightHealth:
@@ -99,17 +130,13 @@ class TestFiniteGuards:
 
 
 class TestPresentationProbabilities:
-    def test_non_finite_targets_named(self, fast_training):
-        trainer = EarlyStoppingTrainer(fast_training, np.random.default_rng(0))
+    def test_non_finite_targets_named(self):
         with pytest.raises(ValueError, match=r"indices \[1, 3\]"):
-            trainer.presentation_probabilities(
-                np.array([1.0, np.nan, 2.0, np.inf])
-            )
+            presentation_probabilities(np.array([1.0, np.nan, 2.0, np.inf]))
 
-    def test_non_positive_targets_rejected(self, fast_training):
-        trainer = EarlyStoppingTrainer(fast_training, np.random.default_rng(0))
+    def test_non_positive_targets_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            trainer.presentation_probabilities(np.array([1.0, 0.0]))
+            presentation_probabilities(np.array([1.0, 0.0]))
 
 
 class TestConfigValidation:
@@ -129,156 +156,148 @@ class TestConfigValidation:
 
 class TestDivergenceDetection:
     def test_exploding_es_error(self, fast_training):
-        # any real percentage error exceeds a near-zero threshold, so the
-        # first early-stopping check must report divergence
+        # any real percentage error exceeds a near-zero threshold, so
+        # every fold's first early-stopping check must report divergence
         config = dataclasses.replace(fast_training, divergence_error=1e-9)
         x, y = linear_data()
-        telemetry = RunTelemetry()
-        metrics = MetricsRegistry(enabled=True)
-        with pytest.raises(TrainingDiverged) as info:
-            fit_once(config, x[4:], y[4:], x[:4], y[:4], telemetry, metrics)
-        assert info.value.reason == "exploding es_error"
-        assert info.value.epoch == config.check_interval
-        (event,) = telemetry.events_named("train.diverged")
-        assert event.payload["reason"] == "exploding es_error"
-        assert np.isfinite(event.payload["es_error"])
-        assert metrics.counter("train.diverged") == 1
-        # the doomed fit's epochs still count as work done
-        assert metrics.counter("train.epochs") == config.check_interval
+        cv = fit_all_diverging(config, x, y)
+        events = cv.telemetry.events_named("train.diverged")
+        assert len(events) == cv.k
+        for event in events:
+            assert event.payload["reason"] == "exploding es_error"
+            assert event.payload["epoch"] == config.check_interval
+            assert np.isfinite(event.payload["es_error"])
+        assert cv.metrics.counter("train.diverged") == cv.k
+        # the doomed fits' epochs still count as work done
+        assert cv.metrics.counter("train.epochs") == (
+            cv.k * config.check_interval
+        )
 
     def test_weight_explosion(self, fast_training):
         # the init-range weights (~0.01) already exceed a tiny max_weight
         config = dataclasses.replace(fast_training, max_weight=1e-6)
         x, y = linear_data()
-        telemetry = RunTelemetry()
-        with pytest.raises(TrainingDiverged) as info:
-            fit_once(config, x[4:], y[4:], x[:4], y[:4], telemetry)
-        assert info.value.reason == "weight explosion"
-        (event,) = telemetry.events_named("train.diverged")
-        assert event.payload["max_abs"] > 1e-6
+        cv = fit_all_diverging(config, x, y)
+        for event in cv.telemetry.events_named("train.diverged"):
+            assert event.payload["reason"] == "weight explosion"
+            assert event.payload["max_abs"] > 1e-6
 
     def test_dead_network(self, fast_training):
-        # two identical ES inputs give bit-identical predictions: zero
-        # spread at every check, declared dead after dead_checks checks
+        # identical inputs give bit-identical predictions: zero spread
+        # at every check, declared dead after dead_checks checks
         config = dataclasses.replace(fast_training, dead_checks=2)
         x, y = linear_data()
-        x_es = np.tile(x[0], (2, 1))
-        y_es = np.array([y[0], y[0] * 1.1])
-        with pytest.raises(TrainingDiverged) as info:
-            fit_once(config, x, y, x_es, y_es)
-        assert info.value.reason == "dead network"
-        assert info.value.epoch == 2 * config.check_interval
+        x = np.tile(x[0], (len(x), 1))
+        cv = fit_all_diverging(config, x, y)
+        events = cv.telemetry.events_named("train.diverged")
+        assert len(events) == cv.k
+        for event in events:
+            assert event.payload["reason"] == "dead network"
+            assert event.payload["epoch"] == 2 * config.check_interval
 
     def test_single_point_es_is_not_dead(self, fast_training):
         # regression: spread over one prediction is zero by definition;
-        # a 1-point early-stopping set must not trip the dead detector
+        # a 1-point early-stopping set (n == k) must not trip the dead
+        # detector
         config = dataclasses.replace(fast_training, dead_checks=1)
-        x, y = linear_data()
-        _, history = fit_once(config, x[1:], y[1:], x[:1], y[:1])
-        assert history.epochs_run > 0
+        x, y = linear_data(n=4)
+        cv = ensemble(config, k=4)
+        estimate = cv.fit(x, y)
+        assert estimate.n_folds_used == 4
+        assert cv.metrics.counter("train.diverged") == 0
+        assert cv.metrics.counter("train.epochs") > 0
 
     def test_healthy_fit_completes(self, fast_training):
         x, y = linear_data()
-        network, history = fit_once(fast_training, x[4:], y[4:], x[:4], y[:4])
-        assert np.isfinite(history.best_error)
-        assert network.weight_health().ok(fast_training.max_weight)
+        cv = ensemble(fast_training)
+        estimate = cv.fit(x, y)
+        assert np.isfinite(estimate.mean)
+        for network in cv.predictor.networks:
+            assert network.weight_health().ok(fast_training.max_weight)
 
 
 class TestRobustTrainer:
-    def _problem(self):
-        x, y = linear_data(seed=3, n=36)
-        scaler = TargetScaler().fit(y)
-        return x[6:], y[6:], x[:6], y[:6], scaler
+    """Deterministic restarts: attempt 0 draws from the fold seed,
+    restart ``a`` from ``[seed, a]``."""
 
     def test_attempt_zero_matches_unwrapped_fit(self, fast_training):
-        """A healthy RobustTrainer fit is bit-identical to the plain
-        single-attempt path seeded the same way."""
-        x, y, x_es, y_es, scaler = self._problem()
-        seed = 7
-
-        rng = np.random.default_rng(seed)
-        manual = FeedForwardNetwork(
-            x.shape[1],
-            fast_training.hidden_layers,
-            hidden_activation=fast_training.hidden_activation,
-            rng=rng,
-            init_range=fast_training.init_range,
-        )
-        manual_history = EarlyStoppingTrainer(fast_training, rng).train(
-            manual, x, y, x_es, y_es, scaler
-        )
-
-        robust = RobustTrainer(fast_training, seed=seed)
-        network, history = robust.fit(x, y, x_es, y_es, scaler)
-        assert history.es_errors == manual_history.es_errors
-        for got, want in zip(network.weights, manual.weights):
-            np.testing.assert_array_equal(got, want)
+        """On a healthy fit the restart budget is invisible: a fold
+        with restarts available trains bit-identically to one with
+        none."""
+        x, y = linear_data(seed=3, n=36)
+        fits = []
+        for max_restarts in (0, 2):
+            config = dataclasses.replace(
+                fast_training, max_restarts=max_restarts
+            )
+            cv = ensemble(config)
+            fits.append((cv.fit(x, y), cv))
+        (est_a, cv_a), (est_b, cv_b) = fits
+        assert est_a == est_b
+        np.testing.assert_array_equal(cv_a.predict(x), cv_b.predict(x))
+        assert [e.payload for e in cv_a.telemetry.events_named("train.check")] == [
+            e.payload for e in cv_b.telemetry.events_named("train.check")
+        ]
 
     def test_restarted_fit_is_deterministic(self, fast_training, monkeypatch):
-        x, y, x_es, y_es, scaler = self._problem()
-        baseline, _ = RobustTrainer(fast_training, seed=5).fit(
-            x, y, x_es, y_es, scaler
-        )
+        x, y = linear_data(seed=3, n=36)
+        baseline = ensemble(fast_training)
+        baseline.fit(x, y)
 
-        original = EarlyStoppingTrainer.train
-        calls = {"n": 0}
-
-        def flaky(self, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise TrainingDiverged("injected", reason="injected")
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(EarlyStoppingTrainer, "train", flaky)
-
-        telemetry = RunTelemetry()
-        metrics = MetricsRegistry(enabled=True)
-        first, _ = RobustTrainer(
-            fast_training, seed=5, telemetry=telemetry, metrics=metrics
-        ).fit(x, y, x_es, y_es, scaler)
-        calls["n"] = 0
-        second, _ = RobustTrainer(fast_training, seed=5).fit(
-            x, y, x_es, y_es, scaler
-        )
+        restarted = []
+        for _ in range(2):
+            # every fold's first epoch reports non-finite weights
+            inject_nonfinite(monkeypatch, calls=1)
+            cv = ensemble(fast_training)
+            cv.fit(x, y)
+            restarted.append(cv)
+            monkeypatch.undo()
+        first, second = restarted
 
         # the restart is bit-reproducible...
-        for got, want in zip(first.weights, second.weights):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(first.predict(x), second.predict(x))
         # ...and uses a genuinely different stream than attempt 0
-        assert any(
-            not np.array_equal(got, want)
-            for got, want in zip(first.weights, baseline.weights)
-        )
-        (event,) = telemetry.events_named("train.restart")
-        assert event.payload["attempt"] == 1
-        assert event.payload["reason"] == "injected"
-        assert event.payload["seed"] == 5
-        assert metrics.counter("train.restarts") == 1
+        assert not np.array_equal(first.predict(x), baseline.predict(x))
+        events = first.telemetry.events_named("train.restart")
+        assert len(events) == first.k
+        tasks_seeds = [
+            e.payload["seed"] for e in second.telemetry.events_named(
+                "train.restart"
+            )
+        ]
+        assert [e.payload["seed"] for e in events] == tasks_seeds
+        for event in events:
+            assert event.payload["attempt"] == 1
+            assert event.payload["reason"] == "non-finite weights"
+        assert first.metrics.counter("train.restarts") == first.k
 
     def test_restarts_exhausted(self, fast_training, monkeypatch):
-        x, y, x_es, y_es, scaler = self._problem()
-
-        def doomed(self, *args, **kwargs):
-            raise TrainingDiverged("boom", reason="weight explosion", epoch=30)
-
-        monkeypatch.setattr(EarlyStoppingTrainer, "train", doomed)
-        telemetry = RunTelemetry()
-        metrics = MetricsRegistry(enabled=True)
-        robust = RobustTrainer(
-            fast_training, seed=1, max_restarts=2,
-            telemetry=telemetry, metrics=metrics,
-        )
+        inject_nonfinite(monkeypatch, calls=None)
+        x, y = linear_data(seed=3, n=36)
+        config = dataclasses.replace(fast_training, max_restarts=2)
+        cv = ensemble(config)
         with pytest.raises(TrainingDiverged) as info:
-            robust.fit(x, y, x_es, y_es, scaler)
-        assert info.value.reason == "restarts exhausted"
-        assert info.value.epoch == 30
-        assert "boom" in str(info.value)
-        assert len(telemetry.events_named("train.restart")) == 2
-        assert metrics.counter("train.restarts") == 2
+            cv.fit(x, y)
+        assert info.value.reason == "min_folds"
+        quarantines = cv.telemetry.events_named("crossval.quarantine")
+        assert len(quarantines) == cv.k
+        seeds = [
+            e.payload["seed"] for e in cv.telemetry.events_named(
+                "train.restart"
+            )
+        ][::2]
+        for event, seed in zip(quarantines, seeds):
+            assert event.payload["error"].startswith(
+                "restarts exhausted: training diverged on all 3 attempts "
+                f"(seed {seed}; last failure: training epoch produced "
+                "non-finite weights"
+            )
+        assert len(cv.telemetry.events_named("train.restart")) == 2 * cv.k
+        assert cv.metrics.counter("train.restarts") == 2 * cv.k
 
     def test_negative_restart_budget_rejected(self, fast_training):
         with pytest.raises(ValueError):
-            RobustTrainer(fast_training, max_restarts=-1)
+            dataclasses.replace(fast_training, max_restarts=-1)
 
 
 class TestFoldQuarantine:
@@ -288,58 +307,61 @@ class TestFoldQuarantine:
         and the estimate reports the reduced coverage."""
         x, y = linear_data(seed=0, n=40)
         y[0] = 1e-9
-        telemetry = RunTelemetry()
-        metrics = MetricsRegistry(enabled=True)
-        ensemble = CrossValidationEnsemble(
-            k=10,
-            training=fast_training,
-            context=RunContext(
-                rng=np.random.default_rng(3),
-                telemetry=telemetry,
-                metrics=metrics,
-            ),
-        )
+        cv = ensemble(fast_training, k=10)
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            estimate = ensemble.fit(x, y)
+            estimate = cv.fit(x, y)
 
         assert estimate.n_folds == 10
         assert 0 < estimate.n_folds_used < 10
         assert estimate.fold_coverage == estimate.n_folds_used / 10
         assert f"[{estimate.n_folds_used}/10 folds]" in str(estimate)
         quarantined = 10 - estimate.n_folds_used
-        assert metrics.counter("crossval.quarantined") == quarantined
-        events = telemetry.events_named("crossval.quarantine")
+        assert cv.metrics.counter("crossval.quarantined") == quarantined
+        events = cv.telemetry.events_named("crossval.quarantine")
         assert len(events) == quarantined
         assert all(e.payload["error"] for e in events)
         # the surviving members form the predictor; no holes
-        assert ensemble.predictor.size == estimate.n_folds_used
-        assert np.isfinite(ensemble.predict(x)).all()
+        assert cv.predictor.size == estimate.n_folds_used
+        assert np.isfinite(cv.predict(x)).all()
         # restarts were actually spent before quarantining
-        assert metrics.counter("train.restarts") >= quarantined
+        assert cv.metrics.counter("train.restarts") >= quarantined
 
-    @pytest.mark.parametrize("engine", ["perfold", "stacked"])
-    def test_min_folds_raises(self, fast_training, monkeypatch, engine):
-        # inject total divergence at each engine's own training seam
-        if engine == "perfold":
-            def doomed(self, *args, **kwargs):
-                raise TrainingDiverged("injected", reason="injected")
-
-            monkeypatch.setattr(RobustTrainer, "fit", doomed)
-        else:
-            from repro.core.kernels import EnsembleTrainingKernel
-
-            monkeypatch.setattr(
-                EnsembleTrainingKernel,
-                "members_finite",
-                lambda self: np.zeros(self.n_members, dtype=bool),
-            )
-        x, y = linear_data(seed=1, n=12)
-        ensemble = CrossValidationEnsemble(
-            k=4, training=fast_training, rng=np.random.default_rng(0),
-            engine=engine,
+    def test_multi_target_fold_restarts_before_quarantine(self, fast_training):
+        """Multi-target folds run the same supervision: the fold whose
+        early-stopping set holds a near-zero primary target restarts
+        through its whole budget and only then is quarantined."""
+        x, y = linear_data(seed=0, n=40)
+        y[0] = 1e-9
+        y, names = three_targets(x, y)
+        cv = ensemble(fast_training, k=10, target_names=names)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            estimate = cv.fit(x, y)
+        quarantined = 10 - estimate.n_folds_used
+        assert quarantined > 0
+        assert estimate.for_target("hit_rate").n_folds_used == (
+            estimate.n_folds_used
         )
+        names_in_order = [
+            event.name for event in cv.telemetry.events
+            if event.name in ("train.restart", "crossval.quarantine")
+        ]
+        budget = fast_training.max_restarts
+        assert names_in_order == (
+            ["train.restart"] * budget * quarantined
+            + ["crossval.quarantine"] * quarantined
+        )
+        for event in cv.telemetry.events_named("crossval.quarantine"):
+            assert event.payload["error"].startswith("restarts exhausted")
+        assert cv.metrics.counter("train.restarts") == budget * quarantined
+
+    @pytest.mark.parametrize("n_jobs", [1, 2], ids=["stacked", "pooled"])
+    def test_min_folds_raises(self, fast_training, monkeypatch, n_jobs):
+        # total divergence, in-process or inherited by forked workers
+        inject_nonfinite(monkeypatch, calls=None)
+        x, y = linear_data(seed=1, n=12)
+        cv = ensemble(fast_training, k=4, seed=0, n_jobs=n_jobs)
         with pytest.raises(TrainingDiverged) as info:
-            ensemble.fit(x, y)
+            cv.fit(x, y)
         assert info.value.reason == "min_folds"
 
     def test_min_folds_validated(self, fast_training):
