@@ -31,14 +31,12 @@ from .core import (
     EvaluationBackend,
     EvaluationError,
     EvaluationTimeout,
-    ExplorationResult,
     ExplorerCheckpoint,
     FaultInjectingBackend,
     FaultPlan,
     FeedForwardNetwork,
     ParameterEncoder,
     ProcessPoolBackend,
-    QueryByCommitteeSampler,
     ResilientBackend,
     RetryPolicy,
     RunContext,
@@ -84,6 +82,7 @@ from .obs import (
     TelemetryReport,
     enable_metrics,
 )
+from .search import ExplorationResult
 from .simpoint import SimPointSelection, SimPointSimulator, select_simpoints
 from .workloads import SPEC_WORKLOADS, Trace, generate_trace, get_workload
 
@@ -122,7 +121,6 @@ __all__ = [
     "PlackettBurmanStudy",
     "PredicateConstraint",
     "ProcessPoolBackend",
-    "QueryByCommitteeSampler",
     "ResilientBackend",
     "RetryPolicy",
     "RunContext",

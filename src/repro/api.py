@@ -27,7 +27,7 @@ deprecation policy: anything else may move without notice.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -54,11 +54,7 @@ from .core.crossval import DEFAULT_FOLDS
 from .core.encoding import ParameterEncoder, design_matrix
 from .core.ensemble import EnsemblePredictor
 from .core.error import ErrorEstimate, ErrorStatistics
-from .core.explorer import (
-    DEFAULT_BATCH_SIZE,
-    DesignSpaceExplorer,
-    ExplorationResult,
-)
+from .core.explorer import DEFAULT_BATCH_SIZE, DesignSpaceExplorer
 from .core.fitting import FitOutcome, fit_cv_round
 from .core.kernels import DEFAULT_PREDICT_CHUNK
 from .core.training import TrainingConfig
@@ -76,6 +72,7 @@ from .search import (
     CommitteeAgent,
     Environment,
     EvolutionaryAgent,
+    ExplorationResult,
     Observation,
     RandomAgent,
     SimulatedAnnealingAgent,
@@ -167,7 +164,6 @@ def explore(
     context: Optional[RunContext] = None,
     min_folds: Optional[int] = None,
     agent: Union[str, Agent, None] = None,
-    sampler: Optional[Callable] = None,
     initial_samples: Optional[int] = None,
     checkpoint: Optional[str] = None,
 ) -> ExplorationResult:
@@ -190,8 +186,7 @@ def explore(
     a name from :data:`AGENTS` (``"random"``, ``"committee"``,
     ``"evolutionary"``, ``"annealing"``, ``"bayesopt"``), an agent
     instance (e.g. ``CommitteeAgent(pool_size=500)``), or ``None`` for
-    the paper's uniform random sampling.  The ``sampler`` hook is
-    deprecated in favour of it.
+    the paper's uniform random sampling.
 
     Pass ``seed`` for a reproducible run, or a full ``context``
     (:class:`RunContext`) to also control telemetry, metrics and the
@@ -229,7 +224,6 @@ def explore(
         context=_resolve(seed, context),
         min_folds=min_folds,
         agent=agent,
-        sampler=sampler,
     )
     return explorer.explore(
         target_error=target_error,

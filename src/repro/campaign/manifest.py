@@ -3,7 +3,7 @@
 The manifest is what makes ``kill -9`` of the campaign *driver* a
 recoverable event.  It is rewritten atomically (with rotation to
 ``.prev`` and a sha256 checksum, via
-:func:`repro.core.checkpoint.save_json_checkpoint`) after every cell
+:func:`repro.core.checkpoint.save_checkpoint`) after every cell
 reaches a terminal state, so at any instant the file on disk describes
 a complete prefix of the campaign:
 
@@ -31,9 +31,9 @@ from typing import Dict, Optional, Union
 
 from ..core.checkpoint import (
     CheckpointError,
-    load_json_checkpoint,
+    load_checkpoint,
     previous_path,
-    save_json_checkpoint,
+    save_checkpoint,
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
@@ -63,7 +63,7 @@ def manifest_path(directory: PathLike) -> Path:
 def manifest_exists(directory: PathLike) -> bool:
     """Whether ``directory`` holds a (possibly mid-rotation) manifest.
 
-    A crash between ``save_json_checkpoint``'s rotation and its atomic
+    A crash between ``save_checkpoint``'s rotation and its atomic
     rewrite leaves only ``MANIFEST.json.prev`` on disk.  That directory
     still *has* a campaign — :meth:`CampaignManifest.load` recovers it
     from the rotated copy — so existence checks must consider both
@@ -186,7 +186,7 @@ class CampaignManifest:
     ) -> Path:
         """Atomically persist to ``directory``'s manifest file."""
         path = manifest_path(directory)
-        save_json_checkpoint(path, self.to_payload(), telemetry, metrics)
+        save_checkpoint(path, self.to_payload(), telemetry, metrics)
         return path
 
     @classmethod
@@ -204,7 +204,7 @@ class CampaignManifest:
         """
         path = manifest_path(directory)
         try:
-            payload = load_json_checkpoint(
+            payload = load_checkpoint(
                 path, telemetry, metrics, strict=True
             )
         except CheckpointError as exc:

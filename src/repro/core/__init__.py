@@ -1,7 +1,6 @@
 """The paper's contribution: ANN ensembles for design-space modeling."""
 
 from .activation import Activation, Identity, Sigmoid, Tanh, get_activation
-from .active import QueryByCommitteeSampler
 from .backend import (
     CachingBackend,
     EvaluationBackend,
@@ -40,8 +39,6 @@ from .error import ErrorEstimate, ErrorStatistics, percentage_errors
 from .explorer import (
     DEFAULT_BATCH_SIZE,
     DesignSpaceExplorer,
-    ExplorationResult,
-    ExplorationRound,
 )
 from .faults import (
     INJECTED_CRASH_EXIT,
@@ -113,8 +110,6 @@ __all__ = [
     "FORMAT_VERSION",
     "ErrorEstimate",
     "ErrorStatistics",
-    "ExplorationResult",
-    "ExplorationRound",
     "FailedEvaluation",
     "FaultInjectingBackend",
     "FaultPlan",
@@ -131,7 +126,6 @@ __all__ = [
     "ParameterEncoder",
     "PolynomialRegression",
     "ProcessPoolBackend",
-    "QueryByCommitteeSampler",
     "ResilientBackend",
     "RetryPolicy",
     "RunContext",

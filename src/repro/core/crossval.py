@@ -131,10 +131,7 @@ class CrossValidationEnsemble:
     context:
         :class:`~repro.core.context.RunContext` supplying the generator
         (fold shuffling and per-fold seeds), the observability hooks and
-        the fold-training worker budget ``n_jobs``.  The legacy ``rng``
-        / ``n_jobs`` / ``telemetry`` / ``metrics`` keywords remain
-        supported for callers that predate the context (pass either the
-        context or the individual fields, not both).
+        the fold-training worker budget ``n_jobs``.
 
     Each :meth:`fit` emits per-fold ``crossval.fold`` events (wall time,
     epochs) and one ``crossval.fit`` event carrying the
@@ -148,10 +145,6 @@ class CrossValidationEnsemble:
         self,
         k: int = DEFAULT_FOLDS,
         training: Optional[TrainingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        n_jobs: Optional[int] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
         context: Optional[RunContext] = None,
         min_folds: Optional[int] = None,
         target_names: Sequence[str] = (),
@@ -164,10 +157,7 @@ class CrossValidationEnsemble:
                 f"min_folds must be in [1, k={k}], got {self.min_folds}"
             )
         self.target_names = tuple(target_names)
-        self.context = resolve_context(
-            context, rng=rng, telemetry=telemetry, metrics=metrics,
-            n_jobs=n_jobs, owner="CrossValidationEnsemble",
-        )
+        self.context = resolve_context(context)
         self.predictor: Optional[EnsemblePredictor] = None
         self.estimate: Optional[ErrorEstimate] = None
 
@@ -193,6 +183,12 @@ class CrossValidationEnsemble:
         y = np.asarray(y, dtype=np.float64)
         names = self.target_names
         if not names:
+            if y.ndim != 1:
+                raise ValueError(
+                    f"a scalar fit takes a 1-D target vector, got shape "
+                    f"{y.shape}; name the columns with target_names= "
+                    "for a multi-target fit"
+                )
             return y.reshape(-1, 1)
         if y.ndim != 2 or y.shape[1] != len(names):
             raise ValueError(

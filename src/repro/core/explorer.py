@@ -23,21 +23,13 @@ simulate callables are adapted automatically).
 from __future__ import annotations
 
 import time
-import warnings
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-import numpy as np
-
 from ..designspace.space import Config, DesignSpace
-from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import RunTelemetry
-
-# result types and the batch-size default moved to the search layer; they
-# are re-exported here (and resolved here by old pickled checkpoints)
-from ..search.agents import AgentLike, SamplerAgent, make_agent
+from ..search.agents import AgentLike, make_agent
 from ..search.protocol import DEFAULT_BATCH_SIZE
-from ..search.result import ExplorationResult, ExplorationRound
+from ..search.result import ExplorationResult
 from .backend import EvaluationBackend, as_backend
 from .context import RunContext, resolve_context
 from .crossval import DEFAULT_FOLDS
@@ -48,8 +40,6 @@ from .training import TrainingConfig
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DesignSpaceExplorer",
-    "ExplorationResult",
-    "ExplorationRound",
     "SimulateFn",
 ]
 
@@ -96,31 +86,15 @@ class DesignSpaceExplorer:
     context:
         :class:`~repro.core.context.RunContext` carrying the seeded
         generator, telemetry, metrics and the fold-training worker
-        budget; forwarded whole to the ensembles the loop trains.  The
-        legacy ``rng`` / ``telemetry`` / ``metrics`` keywords remain
-        supported (pass either the context or the individual fields,
-        not both).
-    rng:
-        Seeded generator for reproducible sampling and training.
-    sampler:
-        **Deprecated** — the pre-search-layer strategy hook, called as
-        ``sampler(space, n, rng, exclude, state)``.  Pass
-        ``agent=CommitteeAgent(...)`` (or another
-        :mod:`repro.search` agent) instead; a given sampler still runs
-        bit-identically through a
-        :class:`~repro.search.agents.SamplerAgent` adapter.
-    telemetry:
-        Optional event stream.  Each training round emits one
-        ``search.propose`` and one ``explore.round`` event (cumulative
-        simulation count, estimated error mean/SD, round wall time),
+        budget; forwarded whole to the ensembles the loop trains.
+        Each training round emits one ``search.propose`` and one
+        ``explore.round`` event (cumulative simulation count, estimated
+        error mean/SD, round wall time) on the context's telemetry,
         bracketed by ``explore.start`` and ``explore.done``; simulation
         and training wall time accumulate under the
-        ``explore.simulate`` / ``explore.train`` phases.  The stream is
-        forwarded to the cross-validation ensembles the loop trains.
-    metrics:
-        Registry receiving the ``explore.simulations`` /
-        ``search.proposals`` counters and round timers; defaults to the
-        (normally disabled) global one.
+        ``explore.simulate`` / ``explore.train`` phases, and the
+        context's metrics receive the ``explore.simulations`` /
+        ``search.proposals`` counters and round timers.
     """
 
     def __init__(
@@ -130,10 +104,6 @@ class DesignSpaceExplorer:
         batch_size: int = DEFAULT_BATCH_SIZE,
         k: int = DEFAULT_FOLDS,
         training: Optional[TrainingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        sampler: Optional[Callable] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
         context: Optional[RunContext] = None,
         min_folds: Optional[int] = None,
         agent: AgentLike = None,
@@ -147,40 +117,9 @@ class DesignSpaceExplorer:
         self.k = k
         self.training = training or TrainingConfig()
         self.min_folds = min_folds
-        self.context = resolve_context(
-            context, rng=rng, telemetry=telemetry, metrics=metrics,
-            owner="DesignSpaceExplorer",
-        )
-        if sampler is not None:
-            if agent is not None:
-                raise ValueError(
-                    "pass either agent= or the deprecated sampler=, not both"
-                )
-            warnings.warn(
-                "passing sampler= to DesignSpaceExplorer is deprecated; "
-                "pass agent=CommitteeAgent(...) (or another repro.search "
-                "agent) instead (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.agent = SamplerAgent(sampler)
-        else:
-            self.agent = make_agent(agent)
-        self.sampler = sampler
+        self.context = resolve_context(context)
+        self.agent = make_agent(agent)
         self.encoder = ParameterEncoder(space)
-
-    # -- context accessors (kept for pre-context call sites) -----------
-    @property
-    def rng(self) -> np.random.Generator:
-        return self.context.rng
-
-    @property
-    def telemetry(self) -> RunTelemetry:
-        return self.context.telemetry
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.context.metrics
 
     def explore(
         self,
@@ -224,7 +163,7 @@ class DesignSpaceExplorer:
         agent = self.agent
         resumed_rounds = env.resume(agent)
 
-        telemetry = self.telemetry
+        telemetry = self.context.telemetry
         explore_start = time.perf_counter()
         telemetry.emit(
             "explore.start",
@@ -244,7 +183,7 @@ class DesignSpaceExplorer:
             want = env.next_batch_size()
             observation = env.observe()
             propose_start = time.perf_counter()
-            configs = agent.propose(observation, want, self.rng)
+            configs = agent.propose(observation, want, self.context.rng)
             telemetry.emit(
                 "search.propose",
                 agent=agent.name,
@@ -253,7 +192,7 @@ class DesignSpaceExplorer:
                 n_proposed=len(configs),
                 elapsed_s=time.perf_counter() - propose_start,
             )
-            self.metrics.inc("search.proposals", len(configs))
+            self.context.metrics.inc("search.proposals", len(configs))
             if not configs:
                 # the agent cannot reach any more unsampled points;
                 # stop with what the completed rounds learned
@@ -269,7 +208,7 @@ class DesignSpaceExplorer:
             if not env.done:
                 poll_shutdown()
             round_elapsed = time.perf_counter() - round_start
-            self.metrics.observe("explore.round", round_elapsed)
+            self.context.metrics.observe("explore.round", round_elapsed)
             telemetry.emit(
                 "explore.round",
                 round=len(env.rounds),

@@ -3,41 +3,61 @@
 Sensitivity studies are long-lived: the architect trains a model once and
 interrogates it for weeks.  ``save_predictor``/``load_predictor`` persist
 an :class:`EnsemblePredictor` to a single ``.npz`` file — weights,
-activations and target scaling — with a format version for forward
-compatibility.  No pickle is involved, so files are safe to share.
+activations, target scaling and target names — with a format version
+for forward compatibility.  No pickle is involved, so files are safe to
+share.  The same bytes, written to an in-memory buffer, are how
+exploration checkpoints embed their predictor.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from pathlib import Path
+from typing import BinaryIO, Dict, Union
 
 import numpy as np
 
-from .encoding import TargetScaler
+from .encoding import MultiTargetScaler, TargetScaler
 from .ensemble import EnsemblePredictor
 from .network import FeedForwardNetwork
 
-#: bump on incompatible format changes
-FORMAT_VERSION = 1
+#: bump on incompatible format changes (v2: per-member scalers and
+#: target names; a v1 file is a scalar v2 file without target names)
+FORMAT_VERSION = 2
+
+Target = Union[str, Path, BinaryIO]
 
 
-def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
-    """Write ``predictor`` to ``path`` (``.npz``).
+def _fitted_scaler(low: float, high: float) -> TargetScaler:
+    scaler = TargetScaler()
+    scaler.low = float(low)
+    scaler.high = float(high)
+    scaler._fitted = True
+    return scaler
 
-    The format stores one shared target scaler, so per-member scalers
-    (multi-target ensembles) are rejected rather than half-saved.
+
+def save_predictor(predictor: EnsemblePredictor, path: Target) -> None:
+    """Write ``predictor`` to ``path`` (``.npz``; a path or binary file).
+
+    A shared :class:`TargetScaler` (scalar ensembles) is stored once;
+    per-member :class:`MultiTargetScaler` s (multi-target ensembles)
+    are stored one low/high vector per member.
     """
-    if not isinstance(predictor.scaler, TargetScaler):
-        raise ValueError(
-            "only ensembles with one shared TargetScaler can be saved; "
-            "multi-target ensembles scale each member separately"
-        )
     arrays: Dict[str, np.ndarray] = {
         "format_version": np.array(FORMAT_VERSION),
         "n_networks": np.array(predictor.size),
-        "scaler_low": np.array(predictor.scaler.low),
-        "scaler_high": np.array(predictor.scaler.high),
+        "target_names": np.array(predictor.target_names, dtype=str),
     }
+    if isinstance(predictor.scaler, TargetScaler):
+        arrays["scaler_low"] = np.array(predictor.scaler.low)
+        arrays["scaler_high"] = np.array(predictor.scaler.high)
+    else:
+        for i, member in enumerate(predictor.scalers):
+            arrays[f"net{i}_scaler_low"] = np.array(
+                [s.low for s in member.scalers]
+            )
+            arrays[f"net{i}_scaler_high"] = np.array(
+                [s.high for s in member.scalers]
+            )
     for i, network in enumerate(predictor.networks):
         arrays[f"net{i}_n_layers"] = np.array(network.n_layers)
         arrays[f"net{i}_hidden_activation"] = np.array(
@@ -71,20 +91,37 @@ def _rebuild_network(data, index: int) -> FeedForwardNetwork:
     return network
 
 
-def load_predictor(path: str) -> EnsemblePredictor:
+def _member_scaler(data, index: int) -> MultiTargetScaler:
+    scaler = MultiTargetScaler()
+    scaler.scalers = [
+        _fitted_scaler(low, high)
+        for low, high in zip(
+            data[f"net{index}_scaler_low"], data[f"net{index}_scaler_high"]
+        )
+    ]
+    return scaler
+
+
+def load_predictor(path: Target) -> EnsemblePredictor:
     """Read an ensemble previously written by :func:`save_predictor`."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise ValueError(
                 f"unsupported predictor format v{version}; this build "
-                f"reads v{FORMAT_VERSION}"
+                f"reads v1 and v{FORMAT_VERSION}"
             )
-        scaler = TargetScaler()
-        scaler.low = float(data["scaler_low"])
-        scaler.high = float(data["scaler_high"])
-        scaler._fitted = True
-        networks = [
-            _rebuild_network(data, i) for i in range(int(data["n_networks"]))
-        ]
-    return EnsemblePredictor(networks=networks, scaler=scaler)
+        n_networks = int(data["n_networks"])
+        if "scaler_low" in data:
+            scaler: object = _fitted_scaler(
+                data["scaler_low"], data["scaler_high"]
+            )
+        else:
+            scaler = [_member_scaler(data, i) for i in range(n_networks)]
+        names = data["target_names"] if "target_names" in data else ()
+        networks = [_rebuild_network(data, i) for i in range(n_networks)]
+    return EnsemblePredictor(
+        networks=networks,
+        scaler=scaler,
+        target_names=tuple(str(name) for name in names),
+    )

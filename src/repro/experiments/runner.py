@@ -27,6 +27,7 @@ Data sources:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -38,6 +39,7 @@ import numpy as np
 
 from ..core.backend import ProcessPoolBackend, as_backend
 from ..core.checkpoint import (
+    CheckpointError,
     clear_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -100,6 +102,22 @@ class LearningCurve:
     source: str
     seed: int
     points: List[CurvePoint] = field(default_factory=list)
+
+    def to_payload(self) -> dict:
+        """This curve as JSON-serializable data (its checkpoint codec)."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "LearningCurve":
+        """Rebuild a :meth:`to_payload` curve; malformed data raises
+        :class:`~repro.core.checkpoint.CheckpointError`."""
+        try:
+            points = [CurvePoint(**point) for point in payload["points"]]
+            return cls(**{**payload, "points": points})
+        except (TypeError, KeyError) as exc:
+            raise CheckpointError(
+                f"checkpoint does not hold a learning curve: {exc!r}"
+            ) from exc
 
     def at_size(self, n_samples: int) -> CurvePoint:
         """The curve point recorded at exactly ``n_samples``."""
@@ -231,9 +249,10 @@ def _load_curve_progress(
     if path is None:
         return None
     partial = load_checkpoint(
-        path, context.telemetry, context.metrics, strict=False
+        path, context.telemetry, context.metrics, strict=False,
+        decode=LearningCurve.from_payload,
     )
-    if not isinstance(partial, LearningCurve):
+    if partial is None:
         return None
     same_run = (
         partial.study == study.name

@@ -92,9 +92,8 @@ def committee_select(
 ) -> List[int]:
     """Variance-maximizing batch selection over a random candidate pool.
 
-    The query-by-committee core shared by :class:`CommitteeAgent` and
-    the legacy :class:`~repro.core.active.QueryByCommitteeSampler`.
-    Unlike the original sampler it is total over its edge cases:
+    The query-by-committee core of :class:`CommitteeAgent`.  It is
+    total over its edge cases:
 
     * ``n`` is capped to the unsampled remainder of the space, so an
       ``exploration_fraction`` of 1.0 (or a nearly exhausted space) can
@@ -176,8 +175,9 @@ class RandomAgent(SearchAgent):
 
 
 class CommitteeAgent(SearchAgent):
-    """Query-by-committee active learning (the port of
-    :class:`~repro.core.active.QueryByCommitteeSampler`).
+    """Query-by-committee active learning (a future-work direction of
+    Chapter 7): new points are the unsampled candidates the ensemble's
+    members disagree on most.
 
     Parameters
     ----------
@@ -568,41 +568,6 @@ class BayesOptAgent(SearchAgent):
         return [
             space.config_at(int(pool[int(i)])) for i in ranked[:n]
         ]
-
-
-class SamplerAgent(SearchAgent):
-    """Adapter running a legacy ``sampler=`` callable as an agent.
-
-    Calls ``sampler(space, n, rng, exclude, predictor)`` exactly as the
-    pre-search-layer explorer did, so deprecated call sites keep their
-    bit-identical trajectories until they migrate to a real agent.
-    """
-
-    name = "sampler"
-
-    def __init__(self, sampler: Callable):
-        if not callable(sampler):
-            raise TypeError(
-                f"sampler must be callable, got {type(sampler).__name__}"
-            )
-        self.sampler = sampler
-
-    def propose(
-        self,
-        observation: Observation,
-        batch_size: int,
-        rng: np.random.Generator,
-    ) -> List[Config]:
-        """Delegate to the wrapped legacy sampler callable."""
-        space = observation.space
-        indices = self.sampler(
-            space,
-            batch_size,
-            rng,
-            list(observation.sampled_indices),
-            observation.predictor,
-        )
-        return [space.config_at(int(i)) for i in indices]
 
 
 #: registry behind ``agent="name"`` (api, CLI ``--agent``, benchmarks)

@@ -343,7 +343,7 @@ class Environment:
             ("space_size", len(self.space), state.space_size),
             ("batch_size", self.batch_size, state.batch_size),
             ("k", self.k, state.k),
-            ("agent", agent.name, getattr(state, "agent", "random")),
+            ("agent", agent.name, state.agent),
         )
         for name, want, got in expected:
             if want != got:
@@ -363,19 +363,15 @@ class Environment:
         if self.checkpoint_path is None:
             return 0
         state = load_checkpoint(
-            self.checkpoint_path, self.telemetry, self.metrics, strict=True
+            self.checkpoint_path, self.telemetry, self.metrics, strict=True,
+            decode=ExplorerCheckpoint.from_payload,
         )
         if state is None:
             return 0
-        if not isinstance(state, ExplorerCheckpoint):
-            raise CheckpointError(
-                f"checkpoint {self.checkpoint_path} holds a "
-                f"{type(state).__name__}, not an exploration state"
-            )
         self._validate_checkpoint(state, agent)
         self.sampled = list(state.sampled_indices)
         self.targets = list(state.targets)
-        rows = getattr(state, "target_rows", None)
+        rows = state.target_rows
         if self.multi_simulator is not None:
             if rows is None and state.sampled_indices:
                 raise CheckpointError(
@@ -389,7 +385,7 @@ class Environment:
         self.converged = state.converged
         if state.rng_state is not None:
             self.rng.bit_generator.state = state.rng_state
-        slot = getattr(state, "agent_state", None)
+        slot = state.agent_state
         if slot is not None:
             if (
                 not isinstance(slot, dict)

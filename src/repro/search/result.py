@@ -1,16 +1,14 @@
 """Result types of the exploration loop.
 
 :class:`ExplorationRound` and :class:`ExplorationResult` moved here
-from ``repro.core.explorer`` when the search layer was carved out (the
-environment produces them, the explorer re-exports them — existing
-imports and pickled checkpoints keep working).  Like
+from ``repro.core.explorer`` when the search layer was carved out; the
+environment produces them and ``repro.search`` exports them.  Like
 :mod:`repro.search.protocol`, this module never imports ``repro.core``;
 the predictor/encoder/estimate it holds are duck-typed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -72,17 +70,6 @@ class ExplorationResult:
     extra: Dict[str, object] = field(default_factory=dict)
     target_names: Tuple[str, ...] = ()
     target_rows: Optional[List[tuple]] = None
-
-    @property
-    def targets(self) -> List[float]:
-        """Deprecated alias of :attr:`primary_targets`."""
-        warnings.warn(
-            "ExplorationResult.targets is deprecated; use "
-            "primary_targets instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.primary_targets
 
     @property
     def n_simulations(self) -> int:

@@ -4,7 +4,7 @@ Every job the service *accepts* is recorded here before the submitter
 hears "accepted", and every state transition (running, done,
 quarantined) is persisted atomically before the service acts on it —
 via the same checksummed JSON-checkpoint envelope (sha256 + ``.prev``
-rotation, :func:`repro.core.checkpoint.save_json_checkpoint`) that
+rotation, :func:`repro.core.checkpoint.save_checkpoint`) that
 makes campaign manifests SIGKILL-safe.  At any instant the file on
 disk describes a consistent prefix of the service's history, so a
 killed-and-restarted service re-opens the registry, demotes jobs
@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Union
 
 from ..core.checkpoint import (
     CheckpointError,
-    load_json_checkpoint,
+    load_checkpoint,
     previous_path,
-    save_json_checkpoint,
+    save_checkpoint,
 )
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
@@ -311,7 +311,7 @@ class StudyRegistry:
     def save(self) -> Path:
         """Atomically persist the ledger (checksummed, ``.prev``-rotated)."""
         path = registry_path(self.directory)
-        save_json_checkpoint(
+        save_checkpoint(
             path, self.to_payload(), self.telemetry, self.metrics
         )
         return path
@@ -325,7 +325,7 @@ class StudyRegistry:
         """
         path = registry_path(self.directory)
         try:
-            payload = load_json_checkpoint(
+            payload = load_checkpoint(
                 path, self.telemetry, self.metrics, strict=True
             )
         except CheckpointError as exc:

@@ -1,11 +1,12 @@
 """The ``repro.api`` facade and the deprecation policy around it.
 
 Covers the consolidated public surface (exports, entry points, the
-``seed``/``context`` convention), the legacy-keyword deprecation
-warnings on component constructors, the ``max_attempts`` →
-``max_retries`` rename on :class:`RetryPolicy`, and — crucially — that
-no *internal* code path emits a DeprecationWarning anymore (the facade
-and everything under it run clean with warnings escalated to errors).
+``seed``/``context`` convention), the removal of expired deprecated
+spellings (legacy constructor keywords, ``sampler=``,
+``RetryPolicy(max_attempts=)``), the canonical ``max_retries`` on
+:class:`RetryPolicy`, and — crucially — that no *internal* code path
+emits a DeprecationWarning (the facade and everything under it run
+clean with warnings escalated to errors).
 """
 
 from __future__ import annotations
@@ -187,49 +188,55 @@ def test_explore_agent_name_matches_default(
     assert named.primary_targets == default.primary_targets
 
 
-def test_explore_sampler_kwarg_warns(tiny_space, fast_training):
-    from repro.core import QueryByCommitteeSampler
-    from repro.core.encoding import ParameterEncoder as Encoder
-
-    with pytest.warns(DeprecationWarning, match="agent=CommitteeAgent"):
-        explore(
-            tiny_space,
-            _simulate_fn(tiny_space),
-            target_error=100.0,
-            max_simulations=16,
-            batch_size=8,
-            k=4,
-            training=fast_training,
-            seed=7,
-            sampler=QueryByCommitteeSampler(Encoder(tiny_space)),
-        )
-
-
 # ----------------------------------------------------------------------
-# legacy keyword deprecations on component constructors
+# expired deprecations are gone, not silently accepted
 # ----------------------------------------------------------------------
-def test_crossval_legacy_rng_kwarg_warns():
-    with pytest.warns(DeprecationWarning, match="CrossValidationEnsemble"):
-        CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda space: CrossValidationEnsemble(k=4, rng=None),
+        lambda space: CrossValidationEnsemble(k=4, n_jobs=1),
+        lambda space: CrossValidationEnsemble(k=4, telemetry=None),
+        lambda space: CrossValidationEnsemble(k=4, metrics=None),
+        lambda space: DesignSpaceExplorer(
+            space, _simulate_fn(space), rng=None
+        ),
+        lambda space: DesignSpaceExplorer(
+            space, _simulate_fn(space), telemetry=None
+        ),
+        lambda space: DesignSpaceExplorer(
+            space, _simulate_fn(space), metrics=None
+        ),
+        lambda space: DesignSpaceExplorer(
+            space, _simulate_fn(space), sampler=None
+        ),
+        lambda space: CrossApplicationModel(space, ("a", "b"), rng=None),
+        lambda space: RetryPolicy(max_attempts=3),
+        lambda space: explore(
+            space, _simulate_fn(space), target_error=1.0,
+            max_simulations=8, sampler=None,
+        ),
+    ],
+    ids=[
+        "crossval-rng", "crossval-n_jobs", "crossval-telemetry",
+        "crossval-metrics", "explorer-rng", "explorer-telemetry",
+        "explorer-metrics", "explorer-sampler", "crossapp-rng",
+        "retry-max_attempts", "explore-sampler",
+    ],
+)
+def test_expired_keywords_are_rejected(build, tiny_space):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        build(tiny_space)
 
 
-def test_explorer_legacy_rng_kwarg_warns(tiny_space):
-    with pytest.warns(DeprecationWarning, match="DesignSpaceExplorer"):
-        DesignSpaceExplorer(
-            tiny_space, _simulate_fn(tiny_space), rng=np.random.default_rng(0)
-        )
+def test_expired_names_are_gone():
+    import repro.core
+    import repro.search
+    from repro.search import ExplorationResult
 
-
-def test_crossapp_legacy_rng_kwarg_warns(tiny_space):
-    with pytest.warns(DeprecationWarning, match="CrossApplicationModel"):
-        CrossApplicationModel(
-            tiny_space, ("a", "b"), rng=np.random.default_rng(0)
-        )
-
-
-def test_legacy_warning_names_replacement():
-    with pytest.warns(DeprecationWarning, match=r"context=RunContext"):
-        CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
+    assert not hasattr(repro.core, "QueryByCommitteeSampler")
+    assert not hasattr(repro.search, "SamplerAgent")
+    assert "targets" not in vars(ExplorationResult)
 
 
 def test_context_spelling_is_clean(strict_deprecations):
@@ -237,7 +244,7 @@ def test_context_spelling_is_clean(strict_deprecations):
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy: max_attempts -> max_retries rename
+# RetryPolicy: max_retries is the setting, max_attempts derived
 # ----------------------------------------------------------------------
 def test_retry_policy_canonical_name(strict_deprecations):
     policy = RetryPolicy(max_retries=2)
@@ -251,24 +258,12 @@ def test_retry_policy_default_unchanged(strict_deprecations):
     assert policy.max_retries == 2
 
 
-def test_retry_policy_alias_warns_and_maps():
-    with pytest.warns(DeprecationWarning, match="max_retries"):
-        policy = RetryPolicy(max_attempts=5)
-    assert policy.max_retries == 4
-    assert policy.max_attempts == 5
-
-
 def test_retry_policy_replace_roundtrips(strict_deprecations):
     policy = RetryPolicy(max_retries=1, base_delay_s=0.5)
     clone = dataclasses.replace(policy, base_delay_s=0.25)
     assert clone.max_retries == 1
     assert clone.max_attempts == 2
     assert clone.base_delay_s == 0.25
-
-
-def test_retry_policy_inconsistent_pair_rejected():
-    with pytest.raises(ValueError, match="max_retries"):
-        RetryPolicy(max_retries=2, max_attempts=5)
 
 
 def test_retry_policy_zero_attempts_rejected():

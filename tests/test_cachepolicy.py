@@ -455,16 +455,15 @@ class TestMultiTargetFit:
                 target_names=("ipc",),
             )
 
-    def test_single_column_y_is_deprecated(self):
+    def test_single_column_y_without_names_raises(self):
         x, y = self._data()
-        with pytest.warns(DeprecationWarning, match="1-D scalar target"):
-            outcome = fit_cv_round(
+        with pytest.raises(ValueError, match="1-D target vector"):
+            fit_cv_round(
                 x, y[:, :1],
                 k=4,
                 training=_fast(),
                 context=RunContext.seeded(0),
             )
-        assert outcome.estimate.target_names == ()
 
     def test_api_fit_ensemble_passes_target_names(self):
         x, y = self._data()
@@ -478,8 +477,10 @@ class TestMultiTargetFit:
         assert outcome.estimate.target_names == ("ipc", "hit_rate")
 
 
-class TestScalarDeprecations:
-    def test_result_targets_alias_warns(self, tiny_space, fast_training):
+class TestScalarResults:
+    def test_scalar_result_has_no_multi_target_payload(
+        self, tiny_space, fast_training
+    ):
         result = api.explore(
             tiny_space,
             lambda config: 1.0 + config["size"] / 64.0,
@@ -490,9 +491,7 @@ class TestScalarDeprecations:
             seed=2,
             training=fast_training,
         )
-        with pytest.warns(DeprecationWarning, match="primary_targets"):
-            legacy = result.targets
-        assert legacy == result.primary_targets
+        assert len(result.primary_targets) == result.n_simulations
         # scalar runs carry no multi-target payload
         assert result.target_names == ()
         assert result.target_rows is None

@@ -1,6 +1,7 @@
 """Tests for crash-safe checkpointing and atomic artifact writes."""
 
 import hashlib
+import json
 import os
 import pickle
 
@@ -19,8 +20,10 @@ from repro.core import (
     previous_path,
     save_checkpoint,
 )
-from repro.core.checkpoint import CHECKPOINT_FORMAT
+from repro.core.checkpoint import CHECKPOINT_FORMAT, canonical_json
+from repro.core.encoding import design_matrix
 from repro.core.fitting import fit_cv_round
+from repro.core.training import TrainingConfig
 from repro.experiments import run_learning_curve
 from repro.experiments.runner import (
     LearningCurve,
@@ -34,6 +37,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
+from repro.search import ExplorationRound
 
 from .test_backend import smooth_simulator
 
@@ -112,6 +116,21 @@ def _flip_bit(path):
     path.write_bytes(bytes(data))
 
 
+_UNPICKLED = []
+
+
+def _record_unpickle():
+    _UNPICKLED.append(True)
+    return None
+
+
+class _Tripwire:
+    """Records it if anything ever unpickles it."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ())
+
+
 class TestSelfHealingCheckpoints:
     ROUNDS = (
         {"round": 1, "data": list(range(200))},
@@ -174,18 +193,37 @@ class TestSelfHealingCheckpoints:
 
     def test_envelope_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        blob = pickle.dumps({"round": 9})
-        atomic_write_pickle(
-            path,
-            {
-                "format": CHECKPOINT_FORMAT,
-                "version": 1,
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "payload": blob,
-            },
-        )
+        payload = {"round": 9}
+        path.write_text(json.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "version": 2,
+            "sha256": hashlib.sha256(
+                canonical_json(payload).encode("utf-8")
+            ).hexdigest(),
+            "payload": payload,
+        }))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path, strict=True)
+
+    def test_pickle_envelope_rejected_without_unpickling(self, tmp_path):
+        """A checkpoint in the retired pickle envelope format fails as a
+        CheckpointError (strict) or a miss (lenient) — and nothing in it
+        is ever unpickled."""
+        path = tmp_path / "run.ckpt"
+        blob = pickle.dumps({"round": 1})
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "version": 2,
+            "sha256": hashlib.sha256(blob).hexdigest(),
+            "payload": blob,
+            "tripwire": _Tripwire(),
+        }))
+        with pytest.raises(CheckpointError, match="cannot be read"):
+            load_checkpoint(path, strict=True)
+        assert load_checkpoint(
+            path, strict=False, decode=LearningCurve.from_payload
+        ) is None
+        assert _UNPICKLED == []
 
     def test_legacy_raw_pickle_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -204,26 +242,32 @@ class TestSelfHealingCheckpoints:
     def test_pickled_removed_class_rejected(
         self, tmp_path, monkeypatch, module, name
     ):
-        """A checkpoint whose predictor pickled a class that no longer
-        exists fails as a CheckpointError, never a raw AttributeError."""
+        """A retired pickle checkpoint whose predictor pickled a class
+        that no longer exists fails as a CheckpointError, never a raw
+        AttributeError — the pickle is never loaded at all."""
         import importlib
 
         owner = importlib.import_module(module)
         removed = type(name, (), {"__module__": module, "__qualname__": name})
         monkeypatch.setattr(owner, name, removed, raising=False)
+        blob = pickle.dumps({"round": 1, "predictor": removed()})
         path = tmp_path / "run.ckpt"
-        save_checkpoint(
+        atomic_write_pickle(
             path,
-            ExplorerCheckpoint(
-                version=CHECKPOINT_VERSION, space_name="s", space_size=8,
-                batch_size=2, k=4, target_error=1.0, max_simulations=8,
-                predictor=removed(),
-            ),
+            {
+                "format": "repro-checkpoint",
+                "version": 1,
+                "sha256": hashlib.sha256(blob).hexdigest(),
+                "payload": blob,
+            },
         )
         monkeypatch.undo()
         assert not hasattr(owner, name)
-        with pytest.raises(CheckpointError, match="cannot be unpickled"):
+        with pytest.raises(CheckpointError, match="cannot be read"):
             load_checkpoint(path, strict=True)
+        assert load_checkpoint(
+            path, strict=False, decode=ExplorerCheckpoint.from_payload
+        ) is None
 
     def test_clear_removes_previous_too(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -276,7 +320,7 @@ class TestExplorerCheckpointing:
     def _explorer(self, space, simulate, training, seed=3):
         return DesignSpaceExplorer(
             space, simulate, batch_size=10, k=4,
-            training=training, rng=np.random.default_rng(seed),
+            training=training, context=RunContext.seeded(seed),
         )
 
     def test_kill_and_resume_is_bit_identical(
@@ -499,62 +543,246 @@ class TestCurveResume:
 
 
 class TestJsonCheckpoints:
-    """The JSON envelope variant backing campaign manifests."""
+    """Plain JSON payloads, as campaign manifests and serve registries
+    store them."""
 
     def test_roundtrip_and_counters(self, tmp_path):
-        from repro.core.checkpoint import (
-            load_json_checkpoint,
-            save_json_checkpoint,
-        )
-
         metrics = MetricsRegistry(enabled=True)
         telemetry = RunTelemetry()
         path = tmp_path / "state.json"
         payload = {"cells": {"a": 1}, "nested": [1, 2, {"b": True}]}
-        save_json_checkpoint(path, payload, telemetry, metrics)
-        assert load_json_checkpoint(path) == payload
+        save_checkpoint(path, payload, telemetry, metrics)
+        assert load_checkpoint(path) == payload
         assert metrics.counter("checkpoint.saves") == 1
         assert telemetry.events_named("checkpoint.save")
 
     def test_missing_file_is_a_miss(self, tmp_path):
-        from repro.core.checkpoint import load_json_checkpoint
-
-        assert load_json_checkpoint(tmp_path / "absent.json") is None
+        assert load_checkpoint(tmp_path / "absent.json") is None
 
     def test_checksum_mismatch_strict_raises(self, tmp_path):
         import json as json_mod
 
-        from repro.core.checkpoint import (
-            CheckpointError,
-            load_json_checkpoint,
-            save_json_checkpoint,
-        )
-
         path = tmp_path / "state.json"
-        save_json_checkpoint(path, {"value": 1})
+        save_checkpoint(path, {"value": 1})
         doc = json_mod.loads(path.read_text())
         doc["payload"]["value"] = 2  # tamper without updating the checksum
         path.write_text(json_mod.dumps(doc))
         with pytest.raises(CheckpointError, match="checksum"):
-            load_json_checkpoint(path, strict=True)
+            load_checkpoint(path, strict=True)
 
     def test_corrupt_primary_falls_back_to_previous(self, tmp_path):
-        from repro.core.checkpoint import (
-            load_json_checkpoint,
-            save_json_checkpoint,
-        )
-
         path = tmp_path / "state.json"
-        save_json_checkpoint(path, {"round": 1})
-        save_json_checkpoint(path, {"round": 2})
+        save_checkpoint(path, {"round": 1})
+        save_checkpoint(path, {"round": 2})
         path.write_text("garbage")
-        assert load_json_checkpoint(path, strict=True) == {"round": 1}
+        assert load_checkpoint(path, strict=True) == {"round": 1}
 
     def test_canonical_json_is_stable(self):
-        from repro.core.checkpoint import canonical_json
-
         a = canonical_json({"b": 1, "a": [1, 2]})
         b = canonical_json({"a": [1, 2], "b": 1})
         assert a == b
         with pytest.raises(ValueError):
             canonical_json({"bad": float("nan")})
+
+
+def _rows_equal(a, b):
+    """Target rows equal, NaN matching NaN."""
+    np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+
+class TestExplorerCheckpointCodec:
+    """The plain-data codec of the explorer's round state."""
+
+    @pytest.fixture
+    def state(self, tiny_space, fast_training):
+        x = np.random.default_rng(1).random((24, 3))
+        y = np.column_stack([0.5 + x[:, 0], 1.0 + x[:, 1] * x[:, 2]])
+        fit = fit_cv_round(
+            x, y, k=4, training=fast_training,
+            context=RunContext.seeded(2), target_names=("ipc", "energy"),
+        )
+        rng = np.random.default_rng(5)
+        rng.random(3)
+        return ExplorerCheckpoint(
+            version=CHECKPOINT_VERSION,
+            space_name=tiny_space.name,
+            space_size=len(tiny_space),
+            batch_size=3,
+            k=4,
+            target_error=1.5,
+            max_simulations=12,
+            sampled_indices=[4, 0, 9],
+            # the middle simulation failed permanently (NaN-marked)
+            targets=[0.7, float("nan"), 0.9],
+            rounds=[ExplorationRound(3, fit.estimate)],
+            rng_state=rng.bit_generator.state,
+            predictor=fit.ensemble.predictor,
+            agent="annealing",
+            agent_state={"version": 1, "state": {"current": 4}},
+            target_rows=[(0.7, 1.1), (float("nan"), float("nan")), (0.9, 1.2)],
+        )
+
+    def _reload(self, state, tmp_path):
+        path = tmp_path / "explore.ckpt"
+        telemetry = RunTelemetry()
+        save_checkpoint(path, state, telemetry)
+        loaded = load_checkpoint(
+            path, telemetry, decode=ExplorerCheckpoint.from_payload
+        )
+        (saved,) = telemetry.events_named("checkpoint.save")
+        (load,) = telemetry.events_named("checkpoint.load")
+        assert saved.payload["kind"] == load.payload["kind"] == (
+            "ExplorerCheckpoint"
+        )
+        return loaded
+
+    def test_round_trip_with_nan_marked_simulation(self, state, tmp_path):
+        loaded = self._reload(state, tmp_path)
+        assert loaded.sampled_indices == state.sampled_indices
+        _rows_equal(loaded.targets, state.targets)
+        _rows_equal(loaded.target_rows, state.target_rows)
+        assert loaded.rounds == state.rounds
+        assert loaded.rounds[0].estimate.target_names == ("ipc", "energy")
+        assert loaded.agent_state == state.agent_state
+        assert loaded.rng_state == state.rng_state
+        restored = np.random.default_rng(0)
+        restored.bit_generator.state = loaded.rng_state
+        original = np.random.default_rng(0)
+        original.bit_generator.state = state.rng_state
+        assert restored.random(4).tolist() == original.random(4).tolist()
+        x = np.random.default_rng(3).random((7, 3))
+        np.testing.assert_array_equal(
+            loaded.predictor.predict_all(x), state.predictor.predict_all(x)
+        )
+        assert loaded.predictor.target_names == ("ipc", "energy")
+
+    def test_file_is_plain_json(self, state, tmp_path):
+        path = tmp_path / "explore.ckpt"
+        save_checkpoint(path, state)
+        doc = json.loads(path.read_text())
+        assert doc["format"] == CHECKPOINT_FORMAT
+        assert doc["payload"]["targets"] == [0.7, None, 0.9]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p.update(targets="0.7"),
+            lambda p: p.update(targets=p["targets"][:-1]),
+            lambda p: p.update(target_rows=p["target_rows"][:-1]),
+            lambda p: p.update(sampled_indices=[4, 0, 10_000]),
+            lambda p: p.update(sampled_indices=[4, 0, -1]),
+            lambda p: p.update(sampled_indices=[4, 0, 1.5]),
+            lambda p: p.update(batch_size="3"),
+            lambda p: p.update(converged=1),
+            lambda p: p.update(rng_state={"bit_generator": "PCG64"}),
+            lambda p: p.update(rng_state={"bit_generator": "default_rng"}),
+            lambda p: p.update(rng_state=[1, 2]),
+            lambda p: p.update(rounds=[[3]]),
+            lambda p: p["rounds"][0][1].pop("n_folds"),
+            lambda p: p["rounds"][0][1].update(per_target=[["ipc"]]),
+            lambda p: p.update(predictor="not base64!"),
+            lambda p: p.update(predictor="Z2FyYmFnZQ=="),
+            lambda p: p.update(agent_state=[1]),
+            lambda p: p.pop("agent"),
+        ],
+        ids=[
+            "targets-type", "targets-length", "rows-length",
+            "index-too-big", "index-negative", "index-float",
+            "int-field-type", "bool-field-type", "rng-incomplete",
+            "rng-not-a-bitgen", "rng-not-a-dict", "round-shape",
+            "estimate-field", "per-target-shape", "predictor-base64",
+            "predictor-npz", "agent-state-type", "missing-field",
+        ],
+    )
+    def test_malformed_payload_raises_checkpoint_error(
+        self, state, tmp_path, corrupt
+    ):
+        payload = json.loads(canonical_json(state.to_payload()))
+        corrupt(payload)
+        with pytest.raises(CheckpointError, match="checkpoint"):
+            ExplorerCheckpoint.from_payload(payload)
+        path = tmp_path / "explore.ckpt"
+        save_checkpoint(path, payload)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(
+                path, strict=True, decode=ExplorerCheckpoint.from_payload
+            )
+
+    def test_foreign_payloads_raise_checkpoint_error(self):
+        for payload in ([1, 2], "state", None, {"not": "an exploration"}):
+            with pytest.raises(CheckpointError, match="exploration state"):
+                ExplorerCheckpoint.from_payload(payload)
+
+
+class _DyingAfter:
+    """A multi-target simulate fn that dies after ``fail_after`` calls.
+
+    It exposes the wrapped simulator as ``fn``, the attribute the
+    environment walks to find the study's declared target vector."""
+
+    def __init__(self, fn, fail_after):
+        self.fn = fn
+        self.calls = 0
+        self.fail_after = fail_after
+
+    def __call__(self, config):
+        self.calls += 1
+        if self.calls > self.fail_after:
+            raise RuntimeError("host preempted")
+        return self.fn(config)
+
+
+class TestMultiTargetResume:
+    """Kill-and-resume of the multi-target cache-policy study."""
+
+    def _explore(self, simulate, checkpoint=None):
+        from repro.api import explore, get_study
+
+        return explore(
+            get_study("cache-policy").space,
+            simulate,
+            target_error=1e-6,
+            max_simulations=30,
+            batch_size=10,
+            k=4,
+            seed=7,
+            agent="committee",
+            training=TrainingConfig(
+                hidden_layers=(8,), max_epochs=200, patience=6,
+                check_interval=10, batch_size=32,
+            ),
+            checkpoint=checkpoint,
+        )
+
+    def test_kill_and_resume_matches_uninterrupted(self, tmp_path):
+        from repro.api import get_study, make_simulate_fn
+
+        study = get_study("cache-policy")
+        baseline = self._explore(make_simulate_fn(study, "osc-tight"))
+        assert len(baseline.rounds) == 3
+
+        path = tmp_path / "cachepolicy.ckpt"
+        dying = _DyingAfter(make_simulate_fn(study, "osc-tight"), 15)
+        with pytest.raises(RuntimeError, match="preempted"):
+            self._explore(dying, checkpoint=path)
+        assert path.exists()
+
+        resumed = self._explore(
+            make_simulate_fn(study, "osc-tight"), checkpoint=path
+        )
+        assert resumed.sampled_indices == baseline.sampled_indices
+        assert resumed.target_rows == baseline.target_rows
+        assert resumed.target_names == baseline.target_names
+        for got, want in zip(resumed.rounds, baseline.rounds):
+            assert got.n_samples == want.n_samples
+            for name in baseline.target_names:
+                assert (
+                    got.estimate.for_target(name)
+                    == want.estimate.for_target(name)
+                )
+        matrix = design_matrix(study.space)[:5]
+        np.testing.assert_array_equal(
+            resumed.predictor.predict_all(matrix),
+            baseline.predictor.predict_all(matrix),
+        )
+        assert not path.exists()

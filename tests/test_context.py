@@ -1,4 +1,4 @@
-"""Tests for RunContext and the context/legacy-keyword resolution."""
+"""Tests for RunContext and the default-context resolution."""
 
 from pathlib import Path
 
@@ -88,16 +88,8 @@ class TestResolveContext:
         context = RunContext.seeded(2)
         assert resolve_context(context) is context
 
-    def test_legacy_fields_build_a_context(self):
-        rng = np.random.default_rng(3)
-        context = resolve_context(rng=rng, n_jobs=2)
-        assert context.rng is rng
-        assert context.n_jobs == 2
-
-    def test_context_plus_legacy_field_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_context(
-                RunContext.seeded(2), rng=np.random.default_rng(3)
-            )
-        with pytest.raises(ValueError, match="n_jobs"):
-            resolve_context(RunContext.seeded(2), n_jobs=2)
+    def test_missing_context_builds_a_default(self):
+        context = resolve_context(None)
+        assert isinstance(context, RunContext)
+        assert context.telemetry is NULL_TELEMETRY
+        assert context.metrics is METRICS

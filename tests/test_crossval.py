@@ -56,14 +56,18 @@ class TestMakeFolds:
 class TestCrossValidationEnsemble:
     def test_fit_learns(self, rng, fast_training):
         x, y = make_problem(rng)
-        ensemble = CrossValidationEnsemble(k=5, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=5, training=fast_training, context=RunContext(rng=rng)
+        )
         estimate = ensemble.fit(x, y)
         assert estimate.mean < 10.0
         assert estimate.n_training == len(x)
 
     def test_builds_k_networks(self, rng, fast_training):
         x, y = make_problem(rng, n=120)
-        ensemble = CrossValidationEnsemble(k=4, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=4, training=fast_training, context=RunContext(rng=rng)
+        )
         ensemble.fit(x, y)
         assert ensemble.predictor.size == 4
 
@@ -74,7 +78,9 @@ class TestCrossValidationEnsemble:
 
     def test_prediction_shape_and_quality(self, rng, fast_training):
         x, y = make_problem(rng, n=300)
-        ensemble = CrossValidationEnsemble(k=5, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=5, training=fast_training, context=RunContext(rng=rng)
+        )
         ensemble.fit(x[:250], y[:250])
         predictions = ensemble.predict(x[250:])
         assert predictions.shape == (50,)
@@ -82,7 +88,9 @@ class TestCrossValidationEnsemble:
         assert errors.mean() < 0.10
 
     def test_length_mismatch(self, rng, fast_training):
-        ensemble = CrossValidationEnsemble(k=4, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=4, training=fast_training, context=RunContext(rng=rng)
+        )
         with pytest.raises(ValueError):
             ensemble.fit(np.zeros((10, 2)), np.ones(5))
 
@@ -91,7 +99,7 @@ class TestCrossValidationEnsemble:
 
         def fit():
             ensemble = CrossValidationEnsemble(
-                k=4, training=fast_training, rng=np.random.default_rng(7)
+                k=4, training=fast_training, context=RunContext.seeded(7)
             )
             return ensemble.fit(x, y).mean
 
@@ -101,7 +109,9 @@ class TestCrossValidationEnsemble:
         """The core claim of Section 3.2: fold-pooled errors estimate the
         ensemble's true error on unseen points."""
         x, y = make_problem(rng, n=400)
-        ensemble = CrossValidationEnsemble(k=5, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=5, training=fast_training, context=RunContext(rng=rng)
+        )
         estimate = ensemble.fit(x[:300], y[:300])
         predictions = ensemble.predict(x[300:])
         true_error = float(
@@ -112,10 +122,12 @@ class TestCrossValidationEnsemble:
     def test_parallel_jobs_equivalent(self, fast_training):
         x, y = make_problem(np.random.default_rng(5), n=120)
         serial = CrossValidationEnsemble(
-            k=4, training=fast_training, rng=np.random.default_rng(7), n_jobs=1
+            k=4, training=fast_training,
+            context=RunContext(rng=np.random.default_rng(7), n_jobs=1),
         ).fit(x, y)
         parallel = CrossValidationEnsemble(
-            k=4, training=fast_training, rng=np.random.default_rng(7), n_jobs=2
+            k=4, training=fast_training,
+            context=RunContext(rng=np.random.default_rng(7), n_jobs=2),
         ).fit(x, y)
         assert serial.mean == pytest.approx(parallel.mean)
 
@@ -129,12 +141,11 @@ class TestCrossValidationEnsemble:
         assert ensemble.fit(x, y).mean > 0
 
     def test_context_excludes_legacy_kwargs(self, fast_training):
-        with pytest.raises(ValueError):
-            CrossValidationEnsemble(
-                k=4, training=fast_training,
-                context=RunContext.seeded(7),
-                rng=np.random.default_rng(7),
-            )
+        for legacy in ("rng", "n_jobs", "telemetry", "metrics"):
+            with pytest.raises(TypeError, match=legacy):
+                CrossValidationEnsemble(
+                    k=4, training=fast_training, **{legacy: None}
+                )
 
 
 class TestParallelObservability:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     CrossValidationEnsemble,
+    RunContext,
     load_predictor,
     save_predictor,
 )
@@ -20,7 +21,9 @@ FAST = TrainingConfig(
 def trained(rng):
     x = rng.random((120, 4))
     y = 0.5 + 0.6 * x[:, 0] + 0.3 * x[:, 1] * x[:, 2]
-    ensemble = CrossValidationEnsemble(k=4, training=FAST, rng=rng)
+    ensemble = CrossValidationEnsemble(
+        k=4, training=FAST, context=RunContext(rng=rng)
+    )
     ensemble.fit(x, y)
     return ensemble.predictor, x
 
@@ -64,7 +67,9 @@ class TestRoundTrip:
         )
         x = rng.random((80, 3))
         y = 0.5 + x[:, 0]
-        ensemble = CrossValidationEnsemble(k=4, training=cfg, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=4, training=cfg, context=RunContext(rng=rng)
+        )
         ensemble.fit(x, y)
         path = tmp_path / "deep.npz"
         save_predictor(ensemble.predictor, str(path))
@@ -82,3 +87,39 @@ class TestRoundTrip:
         np.savez_compressed(str(path), **data)
         with pytest.raises(ValueError, match="unsupported"):
             load_predictor(str(path))
+
+
+class TestMultiTargetAndLegacyFiles:
+    def test_multi_target_round_trip_is_bit_exact(self, rng, tmp_path):
+        x = rng.random((60, 3))
+        y = np.column_stack([0.5 + x[:, 0], 1.0 + x[:, 1], 2.0 - x[:, 2]])
+        ensemble = CrossValidationEnsemble(
+            k=4, training=FAST, context=RunContext.seeded(4),
+            target_names=("ipc", "hit_rate", "energy_nj"),
+        )
+        ensemble.fit(x, y)
+        predictor = ensemble.predictor
+        path = tmp_path / "multi.npz"
+        save_predictor(predictor, str(path))
+        restored = load_predictor(str(path))
+        assert restored.target_names == ("ipc", "hit_rate", "energy_nj")
+        assert len(restored.scalers) == predictor.size
+        np.testing.assert_array_equal(
+            restored.predict_all(x), predictor.predict_all(x)
+        )
+        np.testing.assert_array_equal(
+            restored.prediction_variance(x), predictor.prediction_variance(x)
+        )
+
+    def test_version_1_scalar_file_still_loads(self, trained, tmp_path):
+        predictor, x = trained
+        path = tmp_path / "model.npz"
+        save_predictor(predictor, str(path))
+        # the v1 layout: no target names, format_version 1
+        data = dict(np.load(str(path), allow_pickle=False))
+        del data["target_names"]
+        data["format_version"] = np.array(1)
+        np.savez_compressed(str(path), **data)
+        restored = load_predictor(str(path))
+        assert restored.target_names == ()
+        np.testing.assert_array_equal(restored.predict(x), predictor.predict(x))

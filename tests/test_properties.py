@@ -291,14 +291,14 @@ class TestJsonCheckpointEnvelopeProperties:
 
         from repro.core.checkpoint import (
             canonical_json,
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.json"
-            save_json_checkpoint(path, payload)
-            loaded = load_json_checkpoint(path, strict=True)
+            save_checkpoint(path, payload)
+            loaded = load_checkpoint(path, strict=True)
             assert canonical_json(loaded) == canonical_json(payload)
 
     @given(st.data())
@@ -313,16 +313,16 @@ class TestJsonCheckpointEnvelopeProperties:
 
         from repro.core.checkpoint import (
             canonical_json,
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         older = data.draw(json_payloads, label="older")
         newer = data.draw(json_payloads, label="newer")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.json"
-            save_json_checkpoint(path, older)
-            save_json_checkpoint(path, newer)  # rotates older to .prev
+            save_checkpoint(path, older)
+            save_checkpoint(path, newer)  # rotates older to .prev
             raw = bytearray(path.read_bytes())
             position = data.draw(
                 st.integers(min_value=0, max_value=len(raw) - 1),
@@ -332,7 +332,7 @@ class TestJsonCheckpointEnvelopeProperties:
                 st.integers(min_value=0, max_value=255), label="byte"
             )
             path.write_bytes(bytes(raw))
-            loaded = load_json_checkpoint(path, strict=True)
+            loaded = load_checkpoint(path, strict=True)
             assert canonical_json(loaded) in (
                 canonical_json(newer),
                 canonical_json(older),

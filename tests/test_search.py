@@ -3,8 +3,7 @@
 Three families of guarantees:
 
 * **Refactor lock** — the default ``RandomAgent`` explorer reproduces the
-  pre-search-layer loop (reimplemented inline here) bit-for-bit, and the
-  deprecated ``sampler=`` hook is exactly ``CommitteeAgent`` in disguise.
+  pre-search-layer loop (reimplemented inline here) bit-for-bit.
 * **Protocol correctness** — every agent proposes only valid, unsampled,
   distinct points; the environment rejects protocol violations loudly;
   stateful agents round-trip through the versioned checkpoint slot.
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.core import CrossValidationEnsemble, QueryByCommitteeSampler
+from repro.core import CrossValidationEnsemble
 from repro.core.backend import as_backend
 from repro.core.checkpoint import CheckpointError
 from repro.core.context import RunContext
@@ -121,55 +120,6 @@ class TestRefactorLock:
             result.predict_space(),
             predictor.predict(ParameterEncoder(tiny_space).encode_space()),
         )
-
-    def test_sampler_deprecation_names_replacement(
-        self, tiny_space, fast_training
-    ):
-        sampler = QueryByCommitteeSampler(
-            ParameterEncoder(tiny_space), pool_size=12
-        )
-        with pytest.warns(DeprecationWarning, match="agent=CommitteeAgent"):
-            DesignSpaceExplorer(
-                tiny_space, smooth_simulator, batch_size=8, k=4,
-                training=fast_training, sampler=sampler,
-            )
-
-    def test_sampler_and_agent_are_exclusive(self, tiny_space):
-        sampler = QueryByCommitteeSampler(ParameterEncoder(tiny_space))
-        with pytest.raises(ValueError, match="not both"):
-            DesignSpaceExplorer(
-                tiny_space, smooth_simulator,
-                agent="committee", sampler=sampler,
-            )
-
-    def test_committee_agent_matches_legacy_sampler(
-        self, tiny_space, fast_training
-    ):
-        """``agent=CommitteeAgent(...)`` is the ported ``sampler=`` path:
-        identical trajectories at equal seeds and parameters."""
-        def run(**kwargs):
-            explorer = DesignSpaceExplorer(
-                tiny_space, smooth_simulator, batch_size=8, k=4,
-                training=fast_training, context=RunContext.seeded(5),
-                **kwargs,
-            )
-            return explorer.explore(target_error=0.001, max_simulations=24)
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run(
-                sampler=QueryByCommitteeSampler(
-                    ParameterEncoder(tiny_space),
-                    pool_size=12, exploration_fraction=0.25,
-                )
-            )
-        ported = run(
-            agent=CommitteeAgent(pool_size=12, exploration_fraction=0.25)
-        )
-        assert ported.sampled_indices == legacy.sampled_indices
-        assert ported.primary_targets == legacy.primary_targets
-        assert [r.estimate.mean for r in ported.rounds] == [
-            r.estimate.mean for r in legacy.rounds
-        ]
 
 
 # ----------------------------------------------------------------------
