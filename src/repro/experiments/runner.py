@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -45,7 +44,7 @@ from ..core.checkpoint import (
     save_checkpoint,
 )
 from ..core.context import RunContext
-from ..obs.atomicio import atomic_write_pickle
+from ..obs.atomicio import atomic_write_pickle, load_cached_pickle
 from ..core.encoding import design_matrix
 from ..core.error import percentage_errors
 from ..core.fitting import evaluate_batch, fit_cv_round
@@ -187,22 +186,16 @@ def _load_cached_curve(
         telemetry.emit("cache.miss", kind="curve", path=str(path))
         metrics.inc("cache.misses")
         return None
-    try:
-        with open(path, "rb") as handle:
-            cached = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        telemetry.emit(
-            "cache.read_error", kind="curve", path=str(path),
-            error=repr(exc),
-        )
+
+    def read_error(error: str) -> None:
+        telemetry.emit("cache.read_error", kind="curve", path=str(path), error=error)
         metrics.inc("cache.read_errors")
+
+    cached = load_cached_pickle(path, LearningCurve, on_error=read_error)
+    if cached is None:
         return None
-    if not isinstance(cached, LearningCurve) or len(cached.points) != n_sizes:
-        telemetry.emit(
-            "cache.read_error", kind="curve", path=str(path),
-            error="stale or incompatible cached curve",
-        )
-        metrics.inc("cache.read_errors")
+    if len(cached.points) != n_sizes:
+        read_error("stale cached curve: different size grid")
         return None
     telemetry.emit("cache.hit", kind="curve", path=str(path))
     metrics.inc("cache.hits")

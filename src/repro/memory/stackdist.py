@@ -6,15 +6,17 @@ LRU stack property makes this possible: under fully-associative LRU, a
 reference hits in a cache of capacity ``C`` blocks iff its stack distance
 (number of distinct blocks touched since the previous reference to the same
 block) is below ``C``.  We compute all stack distances once per (trace,
-block size) in O(N log N) with a Fenwick tree, then answer miss-count
-queries for any capacity from the distance histogram.  Finite associativity
-is handled with a smooth effective-capacity correction validated against
-the detailed cache model in the test suite.
+block size) in O(N log N) with whole-array NumPy passes (one stable sort
+finds each reference's previous occurrence, then one cumulative-sum pass
+per bit of the trace length counts the distinct blocks in between), then
+answer miss-count queries for any capacity from the distance histogram.
+Finite associativity is handled with a smooth effective-capacity
+correction validated against the detailed cache model in the test suite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,31 +28,54 @@ CONFLICT_C = 0.30
 CONFLICT_ALPHA = 1.0
 
 
-class _FenwickTree:
-    """Binary indexed tree over ``n`` positions supporting point update and
-    prefix sum, used to count distinct blocks between two references."""
+def _previous_occurrence(blocks: np.ndarray) -> np.ndarray:
+    """Index of each reference's previous reference to the same block,
+    ``-1`` for first touches (one stable sort groups equal blocks in
+    reference order)."""
+    order = np.argsort(blocks, kind="stable")
+    repeat = blocks[order[1:]] == blocks[order[:-1]]
+    previous = np.full(len(blocks), -1, dtype=np.int64)
+    previous[order[1:][repeat]] = order[:-1][repeat]
+    return previous
 
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = np.zeros(n + 1, dtype=np.int64)
 
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        tree = self.tree
-        n = self.n
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
+def _count_smaller_before(values: np.ndarray) -> np.ndarray:
+    """``counts[i] = #{j < i : values[j] < values[i]}`` for non-negative
+    ``int64`` values.
 
-    def prefix_sum(self, index: int) -> int:
-        """Sum of entries at positions 0..index inclusive."""
-        i = index + 1
-        total = 0
-        tree = self.tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return int(total)
+    Bits are processed from the most significant down.  ``values[j] <
+    values[i]`` iff, at the highest bit where they differ, ``j`` has a 0
+    and ``i`` a 1.  Each level keeps the references stably ordered by
+    their bits above the current one (a wavelet matrix: every level is a
+    stable partition on one bit), so the references that share ``i``'s
+    higher bits and precede it form the run from ``start[i]`` up to
+    ``i``'s position; the zeros in that run, read off one cumulative sum,
+    are the ``j`` decided at this bit.
+    """
+    n = len(values)
+    counts = np.zeros(n, dtype=np.int64)
+    position = np.arange(n)
+    order = position.copy()  # original index of the reference at each position
+    level = values  # values in level order
+    start = np.zeros(n, dtype=np.int64)  # first position of each reference's run
+    zeros_before = np.zeros(n + 1, dtype=np.int64)
+    inverse = np.empty(n, dtype=np.int64)
+    for bit_index in reversed(range(int(values.max()).bit_length())):
+        bit = (level >> bit_index) & 1
+        np.cumsum(1 - bit, out=zeros_before[1:])
+        run_zeros = zeros_before[start]
+        counts[order] += bit * (zeros_before[:-1] - run_zeros)
+        # stable partition on this bit: zeros first, ones after; the zeros
+        # (ones) of each run stay contiguous, so runs refine in place
+        n_zeros = zeros_before[-1]
+        ones = bit.astype(bool)
+        destination = np.where(
+            ones, n_zeros + position - zeros_before[:-1], zeros_before[:-1]
+        )
+        new_start = np.where(ones, n_zeros + start - run_zeros, run_zeros)
+        inverse[destination] = position
+        order, level, start = order[inverse], level[inverse], new_start[inverse]
+    return counts
 
 
 def compute_stack_distances(blocks: np.ndarray) -> np.ndarray:
@@ -68,24 +93,15 @@ def compute_stack_distances(blocks: np.ndarray) -> np.ndarray:
         references.
     """
     blocks = np.asarray(blocks)
-    n = len(blocks)
-    distances = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return distances
-    tree = _FenwickTree(n)
-    last_position: Dict[int, int] = {}
-    for i, raw in enumerate(blocks):
-        block = int(raw)
-        prev = last_position.get(block)
-        if prev is None:
-            distances[i] = -1
-        else:
-            # distinct blocks referenced strictly between prev and i: count
-            # of "most recent occurrence" markers in (prev, i)
-            distances[i] = tree.prefix_sum(i - 1) - tree.prefix_sum(prev)
-            tree.add(prev, -1)
-        tree.add(i, 1)
-        last_position[block] = i
+    if len(blocks) == 0:
+        return np.empty(0, dtype=np.int64)
+    previous = _previous_occurrence(blocks)
+    # the distinct blocks between p = previous[i] and i are the j in
+    # (p, i) with previous[j] < p; every j <= p has previous[j] < p too,
+    # so the count is #{j < i : previous[j] < p} - (p + 1)
+    rank = previous + 1
+    distances = _count_smaller_before(rank) - rank
+    distances[previous < 0] = -1
     return distances
 
 

@@ -30,6 +30,7 @@ from .atomicio import (
     atomic_write_bytes,
     atomic_write_pickle,
     atomic_write_text,
+    load_cached_pickle,
 )
 from .metrics import (
     METRICS,
@@ -66,4 +67,5 @@ __all__ = [
     "atomic_write_text",
     "disable_metrics",
     "enable_metrics",
+    "load_cached_pickle",
 ]

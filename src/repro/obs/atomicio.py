@@ -21,9 +21,10 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Callable, Optional, Type, TypeVar, Union
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> None:
@@ -60,3 +61,34 @@ def atomic_write_text(path: PathLike, text: str, encoding: str = "utf-8") -> Non
 def atomic_write_pickle(path: PathLike, obj: object) -> None:
     """Pickle ``obj`` to ``path`` atomically (highest protocol)."""
     atomic_write_bytes(path, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def load_cached_pickle(
+    path: PathLike,
+    expected_type: Type[T],
+    on_error: Optional[Callable[[str], None]] = None,
+) -> Optional[T]:
+    """Read a pickled cache entry written by :func:`atomic_write_pickle`.
+
+    A cache entry can always be rebuilt, so every way the file can be bad
+    is a miss (``None``) rather than an error: missing or unreadable,
+    truncated, an unknown pickle protocol, undecodable bytes, a class that
+    no longer imports, or an object that is not an ``expected_type``.
+    ``on_error``, if given, receives a description of why the entry was
+    rejected.
+    """
+    try:
+        with open(path, "rb") as handle:
+            value = pickle.load(handle)
+    except Exception as exc:
+        if on_error is not None:
+            on_error(repr(exc))
+        return None
+    if not isinstance(value, expected_type):
+        if on_error is not None:
+            on_error(
+                f"expected {expected_type.__name__}, "
+                f"found {type(value).__name__}"
+            )
+        return None
+    return value

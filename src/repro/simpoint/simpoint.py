@@ -16,7 +16,6 @@ ratio of interval length to run length comparable.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -29,7 +28,7 @@ from ..cpu.interval import (
     build_interval_profiles,
 )
 from ..cpu.simulator import _profile_cache_dir
-from ..obs.atomicio import atomic_write_pickle
+from ..obs.atomicio import atomic_write_pickle, load_cached_pickle
 from ..workloads.generator import generate_trace
 from ..workloads.spec import get_workload
 from ..workloads.trace import Trace
@@ -168,13 +167,13 @@ def get_interval_profiles(
         if cache_dir
         else None
     )
-    profiles: Optional[List[ApplicationProfile]] = None
-    if cache_path is not None and cache_path.exists():
-        try:
-            with open(cache_path, "rb") as handle:
-                profiles = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            profiles = None
+    profiles = (
+        load_cached_pickle(cache_path, list) if cache_path is not None else None
+    )
+    if profiles is not None and not all(
+        isinstance(profile, ApplicationProfile) for profile in profiles
+    ):
+        profiles = None
     if profiles is None:
         profiles = build_interval_profiles(trace, interval_length)
         if cache_path is not None:

@@ -34,12 +34,24 @@ from repro.obs import (
     atomic_write_bytes,
     atomic_write_pickle,
     atomic_write_text,
+    load_cached_pickle,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 from repro.search import ExplorationRound
 
 from .test_backend import smooth_simulator
+
+#: bytes a pickled cache file can hold after a crash, a disk fault or a
+#: newer Python, each failing a different way inside ``pickle.load``
+CORRUPT_PICKLES = {
+    "unknown-protocol": b"\x80\x09junk",  # ValueError
+    "undecodable": b"c\xff\xfe\n\xff\n.",  # UnicodeDecodeError
+    "missing-module": b"cno_such_module\nThing\n.",  # ModuleNotFoundError
+    "bad-opcode": b"not a pickle",  # UnpicklingError
+    "empty": b"",  # EOFError
+    "wrong-type": pickle.dumps({"not": "a cache entry"}),
+}
 
 
 class TestAtomicWrites:
@@ -61,6 +73,25 @@ class TestAtomicWrites:
         atomic_write_pickle(path, {"a": [1, 2, 3]})
         with open(path, "rb") as handle:
             assert pickle.load(handle) == {"a": [1, 2, 3]}
+
+    def test_cached_pickle_roundtrip(self, tmp_path):
+        path = tmp_path / "entry.pkl"
+        atomic_write_pickle(path, [1, 2])
+        assert load_cached_pickle(path, list) == [1, 2]
+
+    def test_missing_cached_pickle_is_a_miss(self, tmp_path):
+        errors = []
+        missing = tmp_path / "absent.pkl"
+        assert load_cached_pickle(missing, list, on_error=errors.append) is None
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("data", CORRUPT_PICKLES.values(), ids=CORRUPT_PICKLES)
+    def test_corrupt_cached_pickle_is_a_miss(self, tmp_path, data):
+        path = tmp_path / "entry.pkl"
+        path.write_bytes(data)
+        errors = []
+        assert load_cached_pickle(path, list, on_error=errors.append) is None
+        assert len(errors) == 1
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         class Unpicklable:

@@ -8,11 +8,20 @@ from repro.core.training import TrainingConfig
 from repro.experiments import (
     curve_sizes,
     full_scale,
+    get_study,
     run_learning_curve,
 )
-from repro.experiments.runner import DEFAULT_SIZES, PAPER_SIZES
+from repro.experiments.runner import (
+    DEFAULT_SIZES,
+    PAPER_SIZES,
+    LearningCurve,
+    _curve_cache_path,
+)
+from repro.obs import load_cached_pickle
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
+
+from .test_checkpoint import CORRUPT_PICKLES
 
 FAST = TrainingConfig(
     hidden_layers=(8,), max_epochs=150, patience=5, check_interval=10
@@ -184,6 +193,23 @@ class TestCacheTelemetry:
         assert "path" in events[0].payload
         assert context.metrics.counter("cache.read_errors") == 1
         assert curve.points  # the curve was recomputed regardless
+
+    @pytest.mark.parametrize("data", CORRUPT_PICKLES.values(), ids=CORRUPT_PICKLES)
+    def test_any_corrupt_cache_bytes_recomputed(self, tmp_path, data):
+        path = _curve_cache_path(
+            get_study("memory-system"), "gzip", "true", (50,), 24, FAST, tmp_path
+        )
+        path.write_bytes(data)
+        context = _observed_context(tmp_path)
+        curve = run_learning_curve(
+            "memory-system", "gzip", sizes=(50,), seed=24,
+            training=FAST, context=context,
+        )
+        (event,) = context.telemetry.events_named("cache.read_error")
+        assert event.payload["error"]
+        assert context.metrics.counter("cache.read_errors") == 1
+        assert curve.points
+        assert load_cached_pickle(path, LearningCurve) is not None
 
     def test_unwritable_cache_emits_write_error(self, tmp_path):
         context = _observed_context(tmp_path / "does-not-exist")

@@ -1,17 +1,24 @@
 """Tests for the SimPoint pipeline (BBVs, selection, noisy estimation)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.simpoint.simpoint as simpoint_module
 from repro.cpu import MachineConfig, get_interval_simulator
+from repro.obs import load_cached_pickle
 from repro.simpoint import (
     SimPointSimulator,
     basic_block_vector,
+    get_interval_profiles,
     interval_bbvs,
     random_projection,
     select_simpoints,
 )
 from repro.workloads import generate_trace
+
+from .test_checkpoint import CORRUPT_PICKLES
 
 TRACE_LEN = 12_000
 INTERVAL = 2_000
@@ -98,6 +105,32 @@ class TestSelection:
         a = select_simpoints(trace, INTERVAL, seed=42)
         b = select_simpoints(trace, INTERVAL, seed=42)
         assert a.points == b.points
+
+
+class TestIntervalProfileCache:
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(simpoint_module, "_INTERVAL_PROFILE_CACHE", {})
+        return tmp_path
+
+    def _rebuild_over(self, cache_dir, data):
+        built = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
+        (path,) = cache_dir.glob("intervals-*.pkl")
+        path.write_bytes(data)
+        simpoint_module._INTERVAL_PROFILE_CACHE.clear()
+        rebuilt = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
+        assert [p.mispredict_rates for p in rebuilt] == [
+            p.mispredict_rates for p in built
+        ]
+        assert len(load_cached_pickle(path, list)) == len(built)
+
+    @pytest.mark.parametrize("data", CORRUPT_PICKLES.values(), ids=CORRUPT_PICKLES)
+    def test_corrupt_cache_bytes_rebuilt(self, cache_dir, data):
+        self._rebuild_over(cache_dir, data)
+
+    def test_list_of_wrong_entries_rebuilt(self, cache_dir):
+        self._rebuild_over(cache_dir, pickle.dumps([1, 2, 3]))
 
 
 @pytest.mark.slow
