@@ -10,6 +10,10 @@ file at all, never a half-written one.  This is the property the
 crash-safe checkpoint/resume layer (:mod:`repro.core.checkpoint`) is
 built on.
 
+Pickled caches are read back with :func:`load_cached_pickle`, which
+turns every kind of bad file into a miss, so a cache can always be
+rebuilt instead of failing the run.
+
 This module imports nothing from the rest of the package (stdlib only),
 so every layer — ``repro.obs`` itself, ``repro.core``,
 ``repro.experiments``, the CLI — can use it without cycles.

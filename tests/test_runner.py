@@ -8,15 +8,9 @@ from repro.core.training import TrainingConfig
 from repro.experiments import (
     curve_sizes,
     full_scale,
-    get_study,
     run_learning_curve,
 )
-from repro.experiments.runner import (
-    DEFAULT_SIZES,
-    PAPER_SIZES,
-    LearningCurve,
-    _curve_cache_path,
-)
+from repro.experiments.runner import DEFAULT_SIZES, PAPER_SIZES, LearningCurve
 from repro.obs import load_cached_pickle
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
@@ -181,35 +175,20 @@ class TestCacheTelemetry:
             training=FAST, context=_observed_context(tmp_path),
         )
         (cached,) = tmp_path.glob("curve-*.pkl")
-        cached.write_bytes(b"not a pickle")
-
-        context = _observed_context(tmp_path)
-        curve = run_learning_curve(
-            "memory-system", "gzip", sizes=(50,), seed=22,
-            training=FAST, context=context,
-        )
-        events = context.telemetry.events_named("cache.read_error")
-        assert len(events) == 1
-        assert "path" in events[0].payload
-        assert context.metrics.counter("cache.read_errors") == 1
-        assert curve.points  # the curve was recomputed regardless
-
-    @pytest.mark.parametrize("data", CORRUPT_PICKLES.values(), ids=CORRUPT_PICKLES)
-    def test_any_corrupt_cache_bytes_recomputed(self, tmp_path, data):
-        path = _curve_cache_path(
-            get_study("memory-system"), "gzip", "true", (50,), 24, FAST, tmp_path
-        )
-        path.write_bytes(data)
-        context = _observed_context(tmp_path)
-        curve = run_learning_curve(
-            "memory-system", "gzip", sizes=(50,), seed=24,
-            training=FAST, context=context,
-        )
-        (event,) = context.telemetry.events_named("cache.read_error")
-        assert event.payload["error"]
-        assert context.metrics.counter("cache.read_errors") == 1
-        assert curve.points
-        assert load_cached_pickle(path, LearningCurve) is not None
+        for data in CORRUPT_PICKLES.values():
+            cached.write_bytes(data)
+            context = _observed_context(tmp_path)
+            curve = run_learning_curve(
+                "memory-system", "gzip", sizes=(50,), seed=22,
+                training=FAST, context=context,
+            )
+            events = context.telemetry.events_named("cache.read_error")
+            assert len(events) == 1
+            assert "path" in events[0].payload
+            assert events[0].payload["error"]
+            assert context.metrics.counter("cache.read_errors") == 1
+            assert curve.points  # the curve was recomputed regardless
+            assert load_cached_pickle(cached, LearningCurve) is not None
 
     def test_unwritable_cache_emits_write_error(self, tmp_path):
         context = _observed_context(tmp_path / "does-not-exist")

@@ -108,29 +108,20 @@ class TestSelection:
 
 
 class TestIntervalProfileCache:
-    @pytest.fixture
-    def cache_dir(self, tmp_path, monkeypatch):
+    def test_corrupt_cache_entry_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(simpoint_module, "_INTERVAL_PROFILE_CACHE", {})
-        return tmp_path
-
-    def _rebuild_over(self, cache_dir, data):
         built = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
-        (path,) = cache_dir.glob("intervals-*.pkl")
-        path.write_bytes(data)
-        simpoint_module._INTERVAL_PROFILE_CACHE.clear()
-        rebuilt = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
-        assert [p.mispredict_rates for p in rebuilt] == [
-            p.mispredict_rates for p in built
-        ]
-        assert len(load_cached_pickle(path, list)) == len(built)
-
-    @pytest.mark.parametrize("data", CORRUPT_PICKLES.values(), ids=CORRUPT_PICKLES)
-    def test_corrupt_cache_bytes_rebuilt(self, cache_dir, data):
-        self._rebuild_over(cache_dir, data)
-
-    def test_list_of_wrong_entries_rebuilt(self, cache_dir):
-        self._rebuild_over(cache_dir, pickle.dumps([1, 2, 3]))
+        (path,) = tmp_path.glob("intervals-*.pkl")
+        wrong_entries = pickle.dumps([1, 2, 3])
+        for data in [*CORRUPT_PICKLES.values(), wrong_entries]:
+            path.write_bytes(data)
+            simpoint_module._INTERVAL_PROFILE_CACHE.clear()
+            profiles = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
+            assert [p.mispredict_rates for p in profiles] == [
+                p.mispredict_rates for p in built
+            ]
+            assert len(load_cached_pickle(path, list)) == len(built)
 
 
 @pytest.mark.slow
