@@ -25,6 +25,7 @@ from repro.core.context import RunContext
 from repro.core.encoding import ParameterEncoder
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.fitting import evaluate_batch, fit_cv_round
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 from repro.search import (
     AGENTS,
@@ -408,3 +409,81 @@ class TestSearchTelemetry:
         fallbacks = telemetry.events_named("agent.fallback")
         assert fallbacks
         assert fallbacks[0].payload["reason"] == "no committee trained yet"
+
+    def test_driver_events_counters_and_resume(
+        self, tiny_space, fast_training, tmp_path
+    ):
+        """The driver loop's narration, pinned: which events fire in
+        which order (training internals elided), what each driver event
+        carries, the counters it bumps, and the resumed round count a
+        killed-then-resumed checkpointed run reports."""
+        def run(simulate, checkpoint):
+            telemetry, metrics = RunTelemetry(), MetricsRegistry()
+            context = RunContext(
+                rng=np.random.default_rng(4), telemetry=telemetry,
+                metrics=metrics,
+            )
+            api.explore(
+                tiny_space, simulate, agent="committee", batch_size=8,
+                k=4, training=fast_training, target_error=0.001,
+                max_simulations=24, context=context, checkpoint=checkpoint,
+            )
+            return telemetry, metrics
+
+        telemetry, metrics = run(smooth_simulator, tmp_path / "a.ckpt")
+        names = [
+            e.name for e in telemetry.events
+            if not e.name.startswith("train.") and e.name != "crossval.fold"
+        ]
+        one_round = [
+            "search.propose", "crossval.fit", "checkpoint.save",
+            "explore.round",
+        ]
+        assert names == (
+            ["checkpoint.miss", "explore.start", "agent.fallback"]
+            + one_round * 3
+            + ["explore.done", "checkpoint.clear"]
+        )
+        payload_keys = {
+            "explore.start": {
+                "space", "space_size", "batch_size", "k", "target_error",
+                "max_simulations", "backend", "agent", "resumed_rounds",
+            },
+            "search.propose": {
+                "agent", "round", "n_requested", "n_proposed", "elapsed_s",
+            },
+            "explore.round": {
+                "round", "n_new", "n_simulations", "error_mean",
+                "error_std", "fold_coverage", "elapsed_s",
+            },
+            "explore.done": {
+                "converged", "n_simulations", "n_rounds", "elapsed_s",
+            },
+        }
+        for name, keys in payload_keys.items():
+            events = telemetry.events_named(name)
+            assert events
+            assert all(set(e.payload) == keys for e in events), name
+        start = telemetry.events_named("explore.start")[0].payload
+        assert start["resumed_rounds"] == 0
+        assert start["backend"] == "SerialBackend"
+        assert {
+            name: metrics.counter(name)
+            for name in (
+                "search.proposals", "explore.simulations",
+                "checkpoint.saves", "checkpoint.clears",
+            )
+        } == {
+            "search.proposals": 24, "explore.simulations": 24,
+            "checkpoint.saves": 3, "checkpoint.clears": 1,
+        }
+
+        path = tmp_path / "b.ckpt"
+        with pytest.raises(RuntimeError, match="preempted"):
+            run(_InterruptedSimulator(fail_after=18), path)  # dies in round 3
+        telemetry, metrics = run(smooth_simulator, path)
+        start = telemetry.events_named("explore.start")[0].payload
+        assert start["resumed_rounds"] == 2
+        assert metrics.counter("search.proposals") == 8
+        assert metrics.counter("checkpoint.saves") == 1
+        assert metrics.counter("checkpoint.clears") == 1
