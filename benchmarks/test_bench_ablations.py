@@ -23,9 +23,8 @@ from repro.core import (
     TrainingConfig,
     percentage_errors,
 )
-from repro.api import fit_ensemble
+from repro.api import explore, fit_ensemble
 from repro.core.context import RunContext
-from repro.core.explorer import DesignSpaceExplorer
 from repro.cpu import get_interval_simulator
 from repro.experiments import (
     encoded_space,
@@ -165,15 +164,16 @@ def test_ablation_active_learning(once):
             ("random", None),
             ("active (QBC)", CommitteeAgent()),
         ):
-            explorer = DesignSpaceExplorer(
+            result = explore(
                 study.space,
                 simulate,
+                target_error=0.1,
+                max_simulations=300,
                 batch_size=100,
                 training=training,
                 context=RunContext.seeded(SEED),
                 agent=agent,
             )
-            result = explorer.explore(target_error=0.1, max_simulations=300)
             heldout = np.ones(len(truth), dtype=bool)
             heldout[result.sampled_indices] = False
             errors = percentage_errors(

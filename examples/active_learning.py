@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from repro import get_study
-from repro.api import fit_ensemble
-from repro.core import DesignSpaceExplorer, RunContext, percentage_errors
+from repro.api import explore, fit_ensemble
+from repro.core import RunContext, percentage_errors
 from repro.cpu import get_interval_simulator
 from repro.experiments import encoded_space, full_space_ground_truth
 from repro.search import CommitteeAgent
@@ -31,14 +31,15 @@ BATCH = 50
 
 
 def run_strategy(study, simulate, agent, seed):
-    explorer = DesignSpaceExplorer(
+    return explore(
         study.space,
         simulate,
+        target_error=0.1,
+        max_simulations=BUDGET,
         batch_size=BATCH,
         context=RunContext.seeded(seed),
         agent=agent,
     )
-    return explorer.explore(target_error=0.1, max_simulations=BUDGET)
 
 
 def main() -> None:

@@ -25,7 +25,6 @@ import sys
 import numpy as np
 
 from repro import (
-    DesignSpaceExplorer,
     RunContext,
     RunTelemetry,
     TelemetryReport,
@@ -33,6 +32,7 @@ from repro import (
     get_study,
     make_simulate_fn,
 )
+from repro.api import explore
 from repro.core.training import TrainingConfig
 from repro.experiments import full_space_ground_truth
 
@@ -48,20 +48,21 @@ def main() -> None:
 
     # observability: metrics count what happened, telemetry narrates it;
     # a RunContext bundles them with the seeded rng so every layer
-    # (explorer, ensemble, trainer) shares the same hooks
+    # (exploration loop, ensemble, trainer) shares the same hooks
     metrics = enable_metrics()
     telemetry = RunTelemetry(metrics=metrics)
     context = RunContext.seeded(42, telemetry=telemetry, metrics=metrics)
 
     simulate = make_simulate_fn(study, benchmark)
-    explorer = DesignSpaceExplorer(
+    result = explore(
         study.space,
         simulate,
+        target_error=target_error,
+        max_simulations=800,
         batch_size=50,  # the paper collects results in batches of 50
         training=TrainingConfig(),
         context=context,
     )
-    result = explorer.explore(target_error=target_error, max_simulations=800)
 
     # the run summary: simulations used, error trajectory, time per phase
     report = TelemetryReport(

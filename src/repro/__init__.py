@@ -24,7 +24,6 @@ from .core import (
     CheckpointError,
     CrossApplicationModel,
     CrossValidationEnsemble,
-    DesignSpaceExplorer,
     EnsemblePredictor,
     ErrorEstimate,
     ErrorStatistics,
@@ -99,7 +98,6 @@ __all__ = [
     "CycleSimulator",
     "DependentChoices",
     "DesignSpace",
-    "DesignSpaceExplorer",
     "EnsemblePredictor",
     "ErrorEstimate",
     "ErrorStatistics",

@@ -54,7 +54,6 @@ from .core.crossval import DEFAULT_FOLDS
 from .core.encoding import ParameterEncoder, design_matrix
 from .core.ensemble import EnsemblePredictor
 from .core.error import ErrorEstimate, ErrorStatistics
-from .core.explorer import DEFAULT_BATCH_SIZE, DesignSpaceExplorer
 from .core.fitting import FitOutcome, fit_cv_round
 from .core.kernels import DEFAULT_PREDICT_CHUNK
 from .core.training import TrainingConfig
@@ -67,6 +66,7 @@ from .experiments.studies import (
 )
 from .search import (
     AGENTS,
+    DEFAULT_BATCH_SIZE,
     Agent,
     BayesOptAgent,
     CommitteeAgent,
@@ -215,22 +215,20 @@ def explore(
         raise TypeError(
             "explore() needs a (space, simulate) pair or a study= name"
         )
-    explorer = DesignSpaceExplorer(
+    env = Environment(
         space,
         simulate,
+        target_error=target_error,
+        max_simulations=max_simulations,
         batch_size=batch_size,
         k=k,
         training=training,
-        context=_resolve(seed, context),
         min_folds=min_folds,
-        agent=agent,
-    )
-    return explorer.explore(
-        target_error=target_error,
-        max_simulations=max_simulations,
         initial_samples=initial_samples,
+        context=_resolve(seed, context),
         checkpoint=checkpoint,
     )
+    return env.run(make_agent(agent))
 
 
 def fit_ensemble(

@@ -104,10 +104,10 @@ def execute_exploration(
     """
     # imported here so an injected-crash worker never pays (or breaks
     # on) the numeric stack import
+    from ..api import explore
     from ..core.backend import SerialBackend
     from ..core.context import RunContext
     from ..core.crossval import DEFAULT_FOLDS
-    from ..core.explorer import DesignSpaceExplorer
     from ..core.training import TrainingConfig
     from ..experiments.studies import get_study, make_simulate_fn
     from ..obs.resources import ResourceMeter
@@ -127,9 +127,11 @@ def execute_exploration(
             ),
         )
     with ResourceMeter() as meter:
-        explorer = DesignSpaceExplorer(
+        result = explore(
             study_obj.space,
             backend,
+            target_error=target_error,
+            max_simulations=budget,
             batch_size=batch_size,
             k=k if k is not None else DEFAULT_FOLDS,
             training=TrainingConfig.from_preset(training),
@@ -138,10 +140,6 @@ def execute_exploration(
             context=RunContext.seeded(seed, n_jobs=1),
             min_folds=min_folds,
             agent=agent,
-        )
-        result = explorer.explore(
-            target_error=target_error,
-            max_simulations=budget,
             checkpoint=checkpoint,
         )
         predictions = result.predict_space()

@@ -35,6 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .api import explore
 from .campaign import (
     CampaignError,
     CampaignSpecError,
@@ -44,7 +45,6 @@ from .campaign import (
     run_campaign,
 )
 from .core import (
-    DesignSpaceExplorer,
     FaultInjectingBackend,
     FaultPlan,
     ProcessPoolBackend,
@@ -249,9 +249,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
     context = _run_context(args)
     checkpoint = _checkpoint_path(args)
     with _evaluation_backend(args, context) as backend:
-        explorer = DesignSpaceExplorer(
+        result = explore(
             study.space,
             backend,
+            target_error=args.target_error,
+            max_simulations=args.max_simulations,
             batch_size=args.batch_size,
             training=_training_config(
                 args.training, getattr(args, "max_restarts", None)
@@ -259,10 +261,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             context=context,
             min_folds=getattr(args, "min_folds", None),
             agent=getattr(args, "agent", None),
-        )
-        result = explorer.explore(
-            target_error=args.target_error,
-            max_simulations=args.max_simulations,
             checkpoint=checkpoint,
         )
         failures = getattr(backend, "failures", [])
@@ -412,30 +410,30 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ``--no-alloc``, tracemalloc peak/net allocations.
     """
     study = get_study(args.study)
+    benchmark = _resolve_benchmark(study, args.benchmark)
     telemetry = args.telemetry
     profiler = PhaseProfiler(trace_allocations=not args.no_alloc)
     context = _run_context(args)
     with profiler:
-        with profiler.phase("workload.profile"):
-            get_interval_simulator(args.benchmark)
+        if not study.is_multi_target:
+            with profiler.phase("workload.profile"):
+                get_interval_simulator(benchmark)
         with _evaluation_backend(args, context) as backend:
             with profiler.phase("explore"):
-                explorer = DesignSpaceExplorer(
+                result = explore(
                     study.space,
                     backend,
+                    target_error=args.target_error,
+                    max_simulations=args.max_simulations,
                     batch_size=args.batch_size,
                     training=_training_config(args.training),
                     context=context,
-                )
-                result = explorer.explore(
-                    target_error=args.target_error,
-                    max_simulations=args.max_simulations,
                 )
         with profiler.phase("predict.space"):
             result.predict_space()
 
     print(
-        f"profile: {study.name} study, {args.benchmark}, "
+        f"profile: {study.name} study, {benchmark}, "
         f"{result.n_simulations} simulations, "
         f"{len(result.rounds)} rounds, "
         f"final estimate {result.final_estimate.mean:.2f}%"
@@ -767,9 +765,13 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="phase-by-phase time/allocation breakdown"
     )
-    profile.add_argument("--study", choices=SCALAR_STUDY_NAMES,
+    profile.add_argument("--study", choices=STUDY_NAMES,
                          default="memory-system")
-    profile.add_argument("--benchmark", default="mcf")
+    profile.add_argument(
+        "--benchmark", default=None,
+        help="workload to model (default: mcf for the scalar studies, "
+        "the study's first registered workload otherwise)",
+    )
     profile.add_argument("--target-error", type=float, default=2.0)
     profile.add_argument("--max-simulations", type=int, default=100)
     profile.add_argument("--batch-size", type=int, default=50)

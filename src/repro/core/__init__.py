@@ -36,10 +36,6 @@ from .encoding import (
 )
 from .ensemble import EnsemblePredictor
 from .error import ErrorEstimate, ErrorStatistics, percentage_errors
-from .explorer import (
-    DEFAULT_BATCH_SIZE,
-    DesignSpaceExplorer,
-)
 from .faults import (
     INJECTED_CRASH_EXIT,
     CellFaultPlan,
@@ -91,7 +87,6 @@ __all__ = [
     "CheckpointError",
     "CrossApplicationModel",
     "CrossValidationEnsemble",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_FOLDS",
     "DEFAULT_MIN_FOLDS",
     "DEFAULT_HIDDEN_UNITS",
@@ -99,7 +94,6 @@ __all__ = [
     "DEFAULT_LEARNING_RATE",
     "DEFAULT_MOMENTUM",
     "DEFAULT_PREDICT_CHUNK",
-    "DesignSpaceExplorer",
     "EnsemblePredictor",
     "EnsembleTrainingKernel",
     "CellFaultPlan",

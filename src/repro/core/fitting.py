@@ -1,7 +1,7 @@
 """The shared fitting core behind exploration and the experiment runner.
 
 Both consumers of trained ensembles — the incremental exploration loop
-(:class:`repro.core.explorer.DesignSpaceExplorer`) and the
+(:meth:`repro.search.environment.Environment.run`) and the
 learning-curve runner (:func:`repro.experiments.runner.run_learning_curve`)
 — perform the same two primitives per round:
 

@@ -13,8 +13,8 @@ The runner is built on the same primitives as the exploration loop
 through an :class:`~repro.core.backend.EvaluationBackend` and every
 ensemble trains under the caller's
 :class:`~repro.core.context.RunContext`, so parallel fold training,
-caching and telemetry behave identically here, in
-:class:`~repro.core.explorer.DesignSpaceExplorer` and in the CLI.
+caching and telemetry behave identically here, in the exploration loop
+(:func:`repro.api.explore`) and in the CLI.
 
 Data sources:
 

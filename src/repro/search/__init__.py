@@ -4,10 +4,12 @@ The exploration loop of Section 3.3 decomposes into an
 :class:`Environment` (owns the evaluation backend, encoder, per-round
 cross-validation fitting and checkpointing) and an :class:`Agent`
 protocol (proposes each round's batch from an :class:`Observation`).
-``DesignSpaceExplorer`` is a thin driver over the two; strategies are
-selected by name through ``repro.api.explore(agent=...)`` or the CLI's
-``--agent`` flag and compete in ``benchmarks/test_bench_strategies.py``
-on the paper's metric, simulations-to-error.
+:meth:`Environment.run` drives the two — it is the loop behind
+``repro.api.explore``, the package's one exploration entry point.
+Strategies are selected by name through ``repro.api.explore(agent=...)``
+or the CLI's ``--agent`` flag and compete in
+``benchmarks/test_bench_strategies.py`` on the paper's metric,
+simulations-to-error.
 
 See ``docs/architecture.md`` (search layer) for the import layering:
 ``protocol``/``result``/``agents`` never import ``repro.core``;

@@ -5,8 +5,9 @@ the choice of the next batch: the evaluation backend, the feature
 encoder, per-round cross-validation fitting, convergence/budget
 accounting, and crash-safe checkpointing (including the agent's own
 state, via the versioned agent-state slot of
-:class:`~repro.core.checkpoint.ExplorerCheckpoint`).  The driver loop —
-``DesignSpaceExplorer.explore`` — reduces to::
+:class:`~repro.core.checkpoint.ExplorerCheckpoint`).
+:meth:`Environment.run` is the paper's Section 3.3 loop, the one driver
+behind :func:`repro.api.explore`; stripped of telemetry it reads::
 
     while not env.done:
         configs = agent.propose(env.observe(), env.next_batch_size(), rng)
@@ -20,6 +21,7 @@ backends, checkpoints); the protocol and agents stay core-free — see
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -39,6 +41,7 @@ from ..core.crossval import DEFAULT_FOLDS
 from ..core.encoding import ParameterEncoder
 from ..core.ensemble import EnsemblePredictor
 from ..core.fitting import evaluate_batch, fit_cv_round
+from ..core.supervise import poll_shutdown
 from ..core.training import TrainingConfig
 from ..designspace.space import Config, DesignSpace
 from ..obs.metrics import MetricsRegistry
@@ -90,12 +93,15 @@ def resolve_multi_target_simulator(backend: object) -> Optional[object]:
 class Environment:
     """One exploration run's state machine (sample → simulate → fit).
 
-    Parameters mirror :class:`~repro.core.explorer.DesignSpaceExplorer`
-    plus the run bounds that used to live on ``explore()``:
-    ``target_error`` (stop once the CV estimate reaches it),
-    ``max_simulations`` (budget), ``initial_samples`` (first-round
-    batch, defaulting to ``batch_size``) and ``checkpoint`` (round
-    state persists there and a compatible file is resumed from).
+    Parameters mirror :func:`repro.api.explore`: ``backend`` is an
+    :class:`~repro.core.backend.EvaluationBackend` or a plain
+    ``config -> float`` callable (adapted with
+    :func:`~repro.core.backend.as_backend`; the environment never
+    closes it), ``target_error`` stops the run once the CV estimate
+    reaches it, ``max_simulations`` is the budget, ``initial_samples``
+    sizes the first round (``batch_size`` when ``None``; it must be at
+    least ``k``) and ``checkpoint`` names the file round state persists
+    to and a compatible run is resumed from.
     """
 
     def __init__(
@@ -105,7 +111,6 @@ class Environment:
         *,
         target_error: float,
         max_simulations: int,
-        encoder: Optional[ParameterEncoder] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         k: int = DEFAULT_FOLDS,
         training: Optional[TrainingConfig] = None,
@@ -124,16 +129,23 @@ class Environment:
             raise ValueError(
                 f"max_simulations must allow at least k={k} points"
             )
+        if initial_samples is None:
+            initial_samples = batch_size
+        if initial_samples < k:
+            raise ValueError(
+                f"the first round must simulate at least k={k} points, "
+                f"got initial_samples={initial_samples}"
+            )
         self.space = space
         self.backend: EvaluationBackend = as_backend(backend)
-        self.encoder = encoder if encoder is not None else ParameterEncoder(space)
+        self.encoder = ParameterEncoder(space)
         self.batch_size = batch_size
         self.k = k
         self.training = training or TrainingConfig()
         self.min_folds = min_folds
         self.target_error = target_error
         self.max_simulations = max_simulations
-        self.initial_samples = initial_samples or batch_size
+        self.initial_samples = initial_samples
         self.context = context if context is not None else RunContext()
         self.checkpoint_path = (
             Path(checkpoint) if checkpoint is not None else None
@@ -398,6 +410,94 @@ class Environment:
                 )
             agent.load_state_dict(dict(slot.get("state") or {}))
         return len(self.rounds)
+
+    # -- the driver loop ------------------------------------------------
+    def run(self, agent: Agent) -> ExplorationResult:
+        """Run the loop until the CV estimate reaches ``target_error``
+        (mean percentage error), the budget is spent, or ``agent`` runs
+        out of unsampled points.
+
+        With a checkpoint path, an existing compatible checkpoint is
+        resumed first: the generator and agent state are restored to
+        exactly the point the next batch would have been proposed at,
+        so a killed-and-resumed run produces a bit-identical
+        :class:`ExplorationResult` to an uninterrupted one.  Every
+        completed round is then persisted, and the file is removed once
+        the run completes.
+
+        Each round emits one ``search.propose`` and one
+        ``explore.round`` event, bracketed by ``explore.start`` and
+        ``explore.done``; the context's metrics receive the
+        ``search.proposals`` counter and the ``explore.round`` timer.
+        """
+        resumed_rounds = self.resume(agent)
+
+        telemetry = self.telemetry
+        explore_start = time.perf_counter()
+        telemetry.emit(
+            "explore.start",
+            space=self.space.name,
+            space_size=len(self.space),
+            batch_size=self.batch_size,
+            k=self.k,
+            target_error=self.target_error,
+            max_simulations=self.max_simulations,
+            backend=type(self.backend).__name__,
+            agent=agent.name,
+            resumed_rounds=resumed_rounds,
+        )
+
+        while not self.done:
+            round_start = time.perf_counter()
+            want = self.next_batch_size()
+            observation = self.observe()
+            propose_start = time.perf_counter()
+            configs = agent.propose(observation, want, self.rng)
+            telemetry.emit(
+                "search.propose",
+                agent=agent.name,
+                round=len(self.rounds) + 1,
+                n_requested=want,
+                n_proposed=len(configs),
+                elapsed_s=time.perf_counter() - propose_start,
+            )
+            self.metrics.inc("search.proposals", len(configs))
+            if not configs:
+                # the agent cannot reach any more unsampled points;
+                # stop with what the completed rounds learned
+                self.exhausted = True
+                break
+            round_ = self.step(configs)
+            self.save(agent)
+            # the cooperative-shutdown safe point: the round just
+            # completed and its checkpoint is on disk, so honouring a
+            # SIGTERM here (campaign/serve workers install the handler)
+            # loses nothing — the relaunched attempt resumes from this
+            # exact round
+            if not self.done:
+                poll_shutdown()
+            round_elapsed = time.perf_counter() - round_start
+            self.metrics.observe("explore.round", round_elapsed)
+            telemetry.emit(
+                "explore.round",
+                round=len(self.rounds),
+                n_new=len(configs),
+                n_simulations=self.n_simulations,
+                error_mean=round_.estimate.mean,
+                error_std=round_.estimate.std,
+                fold_coverage=round_.estimate.fold_coverage,
+                elapsed_s=round_elapsed,
+            )
+
+        telemetry.emit(
+            "explore.done",
+            converged=self.converged,
+            n_simulations=self.n_simulations,
+            n_rounds=len(self.rounds),
+            elapsed_s=time.perf_counter() - explore_start,
+        )
+        self.finish()
+        return self.result()
 
     def finish(self) -> None:
         """Remove the checkpoint once the run it protects completed."""

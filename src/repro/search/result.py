@@ -1,8 +1,8 @@
 """Result types of the exploration loop.
 
-:class:`ExplorationRound` and :class:`ExplorationResult` moved here
-from ``repro.core.explorer`` when the search layer was carved out; the
-environment produces them and ``repro.search`` exports them.  Like
+:class:`ExplorationRound` and :class:`ExplorationResult` are what
+:meth:`~repro.search.environment.Environment.run` produces, and
+``repro.search`` exports them.  Like
 :mod:`repro.search.protocol`, this module never imports ``repro.core``;
 the predictor/encoder/estimate it holds are duck-typed.
 """

@@ -20,6 +20,8 @@ import pytest
 import repro.api as api
 from repro.api import (
     RunContext,
+    Environment,
+    RandomAgent,
     explore,
     fit_ensemble,
     get_study,
@@ -28,7 +30,6 @@ from repro.api import (
 from repro.core.crossapp import CrossApplicationModel
 from repro.core.crossval import CrossValidationEnsemble
 from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
-from repro.core.explorer import DesignSpaceExplorer
 from repro.core.resilience import RetryPolicy
 from repro.core.training import (
     FoldTask,
@@ -83,8 +84,8 @@ def test_explore_end_to_end_matches_explorer(
     tiny_space, fast_training, strict_deprecations
 ):
     """``api.explore(seed=...)`` reproduces a hand-built
-    DesignSpaceExplorer run bit-for-bit, and emits zero
-    DeprecationWarnings along the way."""
+    ``Environment.run`` bit-for-bit, and emits zero DeprecationWarnings
+    along the way."""
     simulate = _simulate_fn(tiny_space)
     result = explore(
         tiny_space,
@@ -99,15 +100,17 @@ def test_explore_end_to_end_matches_explorer(
     assert result.final_estimate is result.rounds[-1].estimate
     assert len(result.sampled_indices) <= 24
 
-    explorer = DesignSpaceExplorer(
+    env = Environment(
         tiny_space,
         simulate,
+        target_error=100.0,
+        max_simulations=24,
         batch_size=12,
         k=4,
         training=fast_training,
         context=RunContext.seeded(7),
     )
-    direct = explorer.explore(target_error=100.0, max_simulations=24)
+    direct = env.run(RandomAgent())
     assert direct.sampled_indices == result.sampled_indices
     assert direct.primary_targets == result.primary_targets
     np.testing.assert_array_equal(
@@ -191,6 +194,14 @@ def test_explore_agent_name_matches_default(
 # ----------------------------------------------------------------------
 # expired deprecations are gone, not silently accepted
 # ----------------------------------------------------------------------
+def _explore_with(keyword):
+    """An ``explore`` call that passes the expired ``keyword``."""
+    return lambda space: explore(
+        space, _simulate_fn(space), target_error=1.0, max_simulations=8,
+        **{keyword: None},
+    )
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -198,30 +209,18 @@ def test_explore_agent_name_matches_default(
         lambda space: CrossValidationEnsemble(k=4, n_jobs=1),
         lambda space: CrossValidationEnsemble(k=4, telemetry=None),
         lambda space: CrossValidationEnsemble(k=4, metrics=None),
-        lambda space: DesignSpaceExplorer(
-            space, _simulate_fn(space), rng=None
-        ),
-        lambda space: DesignSpaceExplorer(
-            space, _simulate_fn(space), telemetry=None
-        ),
-        lambda space: DesignSpaceExplorer(
-            space, _simulate_fn(space), metrics=None
-        ),
-        lambda space: DesignSpaceExplorer(
-            space, _simulate_fn(space), sampler=None
-        ),
         lambda space: CrossApplicationModel(space, ("a", "b"), rng=None),
         lambda space: RetryPolicy(max_attempts=3),
-        lambda space: explore(
-            space, _simulate_fn(space), target_error=1.0,
-            max_simulations=8, sampler=None,
-        ),
+        _explore_with("rng"),
+        _explore_with("telemetry"),
+        _explore_with("metrics"),
+        _explore_with("sampler"),
     ],
     ids=[
         "crossval-rng", "crossval-n_jobs", "crossval-telemetry",
-        "crossval-metrics", "explorer-rng", "explorer-telemetry",
-        "explorer-metrics", "explorer-sampler", "crossapp-rng",
-        "retry-max_attempts", "explore-sampler",
+        "crossval-metrics", "crossapp-rng", "retry-max_attempts",
+        "explore-rng", "explore-telemetry", "explore-metrics",
+        "explore-sampler",
     ],
 )
 def test_expired_keywords_are_rejected(build, tiny_space):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import explore
 from repro.core import (
     CachingBackend,
-    DesignSpaceExplorer,
     EvaluationBackend,
     EvaluationError,
     ProcessPoolBackend,
@@ -203,16 +203,16 @@ class TestExplorationEquivalence:
         produces bit-identical results whether configurations are
         evaluated in-process or across a worker pool."""
 
-        def explore(backend):
-            explorer = DesignSpaceExplorer(
+        def run(backend):
+            return explore(
                 tiny_space, backend, batch_size=10, k=4,
                 training=fast_training, context=RunContext.seeded(3),
+                target_error=3.0, max_simulations=30,
             )
-            return explorer.explore(target_error=3.0, max_simulations=30)
 
-        serial = explore(SerialBackend(smooth_simulator))
+        serial = run(SerialBackend(smooth_simulator))
         with ProcessPoolBackend(smooth_simulator, n_jobs=2) as pool:
-            parallel = explore(pool)
+            parallel = run(pool)
 
         assert serial.sampled_indices == parallel.sampled_indices
         assert serial.final_estimate.mean == parallel.final_estimate.mean
@@ -224,11 +224,10 @@ class TestExplorationEquivalence:
         self, tiny_space, fast_training
     ):
         cache = CachingBackend(smooth_simulator, tiny_space)
-        explorer = DesignSpaceExplorer(
-            tiny_space, cache, batch_size=10, k=4,
-            training=fast_training, context=RunContext.seeded(3),
+        result = explore(
+            tiny_space, cache, batch_size=10, k=4, training=fast_training,
+            context=RunContext.seeded(3), target_error=3.0, max_simulations=20,
         )
-        result = explorer.explore(target_error=3.0, max_simulations=20)
         assert len(cache) == result.n_simulations
         # the explorer never re-simulates, so every lookup was a miss
         assert cache.misses == result.n_simulations

@@ -8,10 +8,10 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.api import explore
 from repro.core import (
     CHECKPOINT_VERSION,
     CheckpointError,
-    DesignSpaceExplorer,
     ErrorEstimate,
     ExplorerCheckpoint,
     RunContext,
@@ -348,10 +348,10 @@ class _InterruptedSimulator:
 
 
 class TestExplorerCheckpointing:
-    def _explorer(self, space, simulate, training, seed=3):
-        return DesignSpaceExplorer(
+    def _explore(self, space, simulate, training, seed=3, **run):
+        return explore(
             space, simulate, batch_size=10, k=4,
-            training=training, context=RunContext.seeded(seed),
+            training=training, context=RunContext.seeded(seed), **run,
         )
 
     def test_kill_and_resume_is_bit_identical(
@@ -359,24 +359,27 @@ class TestExplorerCheckpointing:
     ):
         """checkpoint -> kill -> resume reproduces the uninterrupted
         run exactly: same samples, targets, trajectory and model."""
-        baseline = self._explorer(
-            tiny_space, smooth_simulator, fast_training
-        ).explore(target_error=1.0, max_simulations=30)
+        baseline = self._explore(
+            tiny_space, smooth_simulator, fast_training, target_error=1.0,
+            max_simulations=30,
+        )
         assert len(baseline.rounds) >= 2  # the test needs a round to resume
 
         path = tmp_path / "explore.ckpt"
         dying = _InterruptedSimulator(fail_after=10)  # dies in round 2
         with pytest.raises(RuntimeError):
-            self._explorer(tiny_space, dying, fast_training).explore(
-                target_error=1.0, max_simulations=30, checkpoint=path
+            self._explore(
+                tiny_space, dying, fast_training, target_error=1.0,
+                max_simulations=30, checkpoint=path,
             )
         assert path.exists()
 
         # the resuming explorer's own seed must not matter: the RNG
         # state comes from the checkpoint
-        resumed = self._explorer(
-            tiny_space, smooth_simulator, fast_training, seed=99
-        ).explore(target_error=1.0, max_simulations=30, checkpoint=path)
+        resumed = self._explore(
+            tiny_space, smooth_simulator, fast_training, seed=99,
+            target_error=1.0, max_simulations=30, checkpoint=path,
+        )
 
         assert resumed.sampled_indices == baseline.sampled_indices
         assert resumed.primary_targets == baseline.primary_targets
@@ -396,24 +399,27 @@ class TestExplorerCheckpointing:
         """Bit rot in the newest checkpoint costs one round, never the
         run: resume falls back to ``<path>.prev`` and still reproduces
         the uninterrupted result bit-identically."""
-        baseline = self._explorer(
-            tiny_space, smooth_simulator, fast_training
-        ).explore(target_error=1.0, max_simulations=30)
+        baseline = self._explore(
+            tiny_space, smooth_simulator, fast_training, target_error=1.0,
+            max_simulations=30,
+        )
         assert len(baseline.rounds) >= 3  # needs a .prev to fall back to
 
         path = tmp_path / "explore.ckpt"
         dying = _InterruptedSimulator(fail_after=20)  # dies in round 3
         with pytest.raises(RuntimeError):
-            self._explorer(tiny_space, dying, fast_training).explore(
-                target_error=1.0, max_simulations=30, checkpoint=path
+            self._explore(
+                tiny_space, dying, fast_training, target_error=1.0,
+                max_simulations=30, checkpoint=path,
             )
         assert path.exists() and previous_path(path).exists()
 
         _flip_bit(path)  # corrupt the round-2 checkpoint
 
-        resumed = self._explorer(
-            tiny_space, smooth_simulator, fast_training, seed=99
-        ).explore(target_error=1.0, max_simulations=30, checkpoint=path)
+        resumed = self._explore(
+            tiny_space, smooth_simulator, fast_training, seed=99,
+            target_error=1.0, max_simulations=30, checkpoint=path,
+        )
 
         assert resumed.sampled_indices == baseline.sampled_indices
         assert resumed.primary_targets == baseline.primary_targets
@@ -430,9 +436,10 @@ class TestExplorerCheckpointing:
     def test_terminal_checkpoint_short_circuits(
         self, tiny_space, fast_training, tmp_path
     ):
-        baseline = self._explorer(
-            tiny_space, smooth_simulator, fast_training
-        ).explore(target_error=3.0, max_simulations=30)
+        baseline = self._explore(
+            tiny_space, smooth_simulator, fast_training, target_error=3.0,
+            max_simulations=30,
+        )
 
         path = tmp_path / "done.ckpt"
         save_checkpoint(
@@ -454,9 +461,10 @@ class TestExplorerCheckpointing:
             ),
         )
         counting = _InterruptedSimulator(fail_after=0)  # any call raises
-        result = self._explorer(
-            tiny_space, counting, fast_training
-        ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
+        result = self._explore(
+            tiny_space, counting, fast_training, target_error=3.0,
+            max_simulations=30, checkpoint=path,
+        )
         assert counting.calls == 0
         assert result.converged
         assert result.sampled_indices == baseline.sampled_indices
@@ -481,9 +489,10 @@ class TestExplorerCheckpointing:
             ),
         )
         with pytest.raises(CheckpointError, match="batch_size"):
-            self._explorer(
-                tiny_space, smooth_simulator, fast_training
-            ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
+            self._explore(
+                tiny_space, smooth_simulator, fast_training, target_error=3.0,
+                max_simulations=30, checkpoint=path,
+            )
 
     def test_foreign_payload_fails_loudly(
         self, tiny_space, fast_training, tmp_path
@@ -491,9 +500,10 @@ class TestExplorerCheckpointing:
         path = tmp_path / "foreign.ckpt"
         save_checkpoint(path, {"not": "an exploration"})
         with pytest.raises(CheckpointError, match="dict"):
-            self._explorer(
-                tiny_space, smooth_simulator, fast_training
-            ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
+            self._explore(
+                tiny_space, smooth_simulator, fast_training, target_error=3.0,
+                max_simulations=30, checkpoint=path,
+            )
 
 
 @pytest.mark.slow

@@ -128,6 +128,22 @@ class TestCommands:
         assert "Plackett-Burman" in out
         assert "l2_size_kb" in out
 
+    def test_profile_multi_target_study(self, capsys):
+        """``repro profile`` accepts every registered study; a study
+        without an interval-simulator workload skips that phase."""
+        code = main(
+            [
+                "profile", "--study", "cache-policy",
+                "--batch-size", "10", "--max-simulations", "20",
+                "--no-alloc",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "profile: cache-policy study, osc-tight, 20 simulations" in out
+        assert "workload.profile" not in out
+        assert "predict.space" in out
+
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "9.9"])

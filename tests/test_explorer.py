@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import DesignSpaceExplorer, RunContext
+from repro.api import explore
+from repro.core import RunContext
 from repro.core.encoding import ParameterEncoder
 from repro.search import CommitteeAgent, committee_select
 
@@ -30,15 +31,11 @@ class CountingSimulator:
 
 class TestExplorer:
     def test_converges_on_easy_space(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
-            tiny_space,
-            smooth_simulator,
-            batch_size=10,
-            k=4,
-            training=fast_training,
-            context=RunContext(rng=rng),
+        result = explore(
+            tiny_space, smooth_simulator, batch_size=10, k=4,
+            training=fast_training, context=RunContext(rng=rng),
+            target_error=5.0, max_simulations=40,
         )
-        result = explorer.explore(target_error=5.0, max_simulations=40)
         assert result.rounds
         assert result.final_estimate.n_training == result.n_simulations
         if result.converged:
@@ -46,36 +43,35 @@ class TestExplorer:
 
     def test_never_resimulates_points(self, tiny_space, fast_training, rng):
         simulator = CountingSimulator()
-        explorer = DesignSpaceExplorer(
-            tiny_space, simulator, batch_size=10, k=4,
-            training=fast_training, context=RunContext(rng=rng),
+        result = explore(
+            tiny_space, simulator, batch_size=10, k=4, training=fast_training,
+            context=RunContext(rng=rng), target_error=0.01, max_simulations=40,
         )
-        result = explorer.explore(target_error=0.01, max_simulations=40)
         assert simulator.calls == result.n_simulations
         assert len(set(result.sampled_indices)) == result.n_simulations
 
     def test_respects_budget(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=10, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=0.0001, max_simulations=30,
         )
-        result = explorer.explore(target_error=0.0001, max_simulations=30)
         assert result.n_simulations <= 30
 
     def test_rounds_accumulate_batches(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=8, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=0.0001, max_simulations=24,
         )
-        result = explorer.explore(target_error=0.0001, max_simulations=24)
         assert [r.n_samples for r in result.rounds] == [8, 16, 24]
 
     def test_predict_config_and_space(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=12, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=2.0, max_simulations=24,
         )
-        result = explorer.explore(target_error=2.0, max_simulations=24)
         prediction = result.predict_config(tiny_space.config_at(0))
         assert 0.1 < prediction < 1.2
         full = result.predict_space()
@@ -84,21 +80,21 @@ class TestExplorer:
     def test_predictions_accurate_after_convergence(
         self, tiny_space, fast_training, rng
     ):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=16, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=3.0, max_simulations=64,
         )
-        result = explorer.explore(target_error=3.0, max_simulations=64)
         truth = np.array([smooth_simulator(c) for c in tiny_space])
         errors = np.abs(result.predict_space() - truth) / truth * 100
         assert errors.mean() < 12.0
 
     def test_best_configs(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=16, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=3.0, max_simulations=48,
         )
-        result = explorer.explore(target_error=3.0, max_simulations=48)
         top = result.best_configs(n=3)
         assert len(top) == 3
         values = [v for _, v in top]
@@ -107,60 +103,62 @@ class TestExplorer:
         assert top[0][0]["size"] in (32, 64)
 
     def test_best_configs_with_constraint(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=16, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=3.0, max_simulations=48,
         )
-        result = explorer.explore(target_error=3.0, max_simulations=48)
         top = result.best_configs(
             n=2, constraint=lambda c: c["size"] <= 16
         )
         assert all(config["size"] <= 16 for config, _ in top)
 
     def test_best_configs_minimize(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=16, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=3.0, max_simulations=32,
         )
-        result = explorer.explore(target_error=3.0, max_simulations=32)
         worst = result.best_configs(n=1, maximize=False)[0][1]
         best = result.best_configs(n=1)[0][1]
         assert worst <= best
 
     def test_best_configs_validates_n(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=16, k=4,
             training=fast_training, context=RunContext(rng=rng),
+            target_error=3.0, max_simulations=32,
         )
-        result = explorer.explore(target_error=3.0, max_simulations=32)
         with pytest.raises(ValueError):
             result.best_configs(n=0)
 
     def test_validation(self, tiny_space, fast_training, rng):
-        explorer = DesignSpaceExplorer(
-            tiny_space, smooth_simulator, training=fast_training,
-            context=RunContext(rng=rng),
-        )
-        with pytest.raises(ValueError):
-            explorer.explore(target_error=0.0, max_simulations=100)
-        with pytest.raises(ValueError):
-            explorer.explore(target_error=1.0, max_simulations=3)
-        with pytest.raises(ValueError):
-            DesignSpaceExplorer(
-                tiny_space, smooth_simulator, batch_size=0
+        def run(**kwargs):
+            kwargs.setdefault("target_error", 1.0)
+            kwargs.setdefault("max_simulations", 100)
+            return explore(
+                tiny_space, smooth_simulator, training=fast_training,
+                context=RunContext(rng=rng), **kwargs,
             )
+
+        with pytest.raises(ValueError):
+            run(target_error=0.0)
+        with pytest.raises(ValueError):
+            run(max_simulations=3)
+        with pytest.raises(ValueError):
+            run(batch_size=0)
 
 
 class TestActiveLearning:
     def test_committee_agent_plugs_into_explorer(
         self, tiny_space, fast_training, rng
     ):
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=10, k=4,
             training=fast_training, context=RunContext(rng=rng),
-            agent=CommitteeAgent(pool_size=30),
+            agent=CommitteeAgent(pool_size=30), target_error=0.001,
+            max_simulations=30,
         )
-        result = explorer.explore(target_error=0.001, max_simulations=30)
         assert len(set(result.sampled_indices)) == result.n_simulations
 
     def test_first_round_falls_back_to_random(self, tiny_space, rng):

@@ -10,10 +10,10 @@ import pytest
 
 from repro import (
     CrossApplicationModel,
-    DesignSpaceExplorer,
     get_study,
     make_simulate_fn,
 )
+from repro.api import explore
 from repro.core import RunContext, percentage_errors
 from repro.core.training import TrainingConfig
 from repro.experiments import encoded_space, full_space_ground_truth
@@ -27,14 +27,11 @@ FAST = TrainingConfig(
 class TestExplorerOnRealStudy:
     def test_explorer_converges_on_gzip(self):
         study = get_study("memory-system")
-        explorer = DesignSpaceExplorer(
-            study.space,
-            make_simulate_fn(study, "gzip"),
-            batch_size=100,
-            training=FAST,
-            context=RunContext.seeded(17),
+        result = explore(
+            study.space, make_simulate_fn(study, "gzip"), batch_size=100,
+            training=FAST, context=RunContext.seeded(17), target_error=6.0,
+            max_simulations=400,
         )
-        result = explorer.explore(target_error=6.0, max_simulations=400)
         assert result.final_estimate.mean < 12.0
 
         # validate the estimate against exhaustive truth
@@ -49,14 +46,11 @@ class TestExplorerOnRealStudy:
     def test_model_finds_near_optimal_configuration(self):
         study = get_study("memory-system")
         truth = full_space_ground_truth(study, "mesa")
-        explorer = DesignSpaceExplorer(
-            study.space,
-            make_simulate_fn(study, "mesa"),
-            batch_size=150,
-            training=FAST,
-            context=RunContext.seeded(19),
+        result = explore(
+            study.space, make_simulate_fn(study, "mesa"), batch_size=150,
+            training=FAST, context=RunContext.seeded(19), target_error=1.0,
+            max_simulations=300,
         )
-        result = explorer.explore(target_error=1.0, max_simulations=300)
         best_predicted = int(np.argmax(result.predict_space()))
         # the model's pick must land in the top few percent of the space
         rank = int(np.sum(truth > truth[best_predicted]))

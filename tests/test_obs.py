@@ -3,8 +3,9 @@
 import json
 import time
 
+from repro.api import explore
 from repro.cli import main
-from repro.core import DesignSpaceExplorer, RunContext
+from repro.core import RunContext
 from repro.obs import (
     METRICS,
     MetricsRegistry,
@@ -151,14 +152,12 @@ class TestExplorerTelemetry:
     def test_one_round_event_per_batch(self, tiny_space, fast_training, rng):
         registry = MetricsRegistry()
         telemetry = RunTelemetry(metrics=registry)
-        explorer = DesignSpaceExplorer(
+        result = explore(
             tiny_space, smooth_simulator, batch_size=8, k=4,
             training=fast_training,
-            context=RunContext(
-                rng=rng, telemetry=telemetry, metrics=registry
-            ),
+            context=RunContext(rng=rng, telemetry=telemetry, metrics=registry),
+            target_error=0.0001, max_simulations=24,
         )
-        result = explorer.explore(target_error=0.0001, max_simulations=24)
 
         rounds = telemetry.events_named("explore.round")
         assert len(rounds) == len(result.rounds)

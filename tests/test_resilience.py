@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import explore
 from repro.core import (
     CellFaultPlan,
-    DesignSpaceExplorer,
     EvaluationError,
     EvaluationTimeout,
     FaultInjectingBackend,
@@ -361,21 +361,21 @@ class TestChaosEquivalence:
         reproduces the fault-free exploration bit for bit, because the
         fault and retry streams are independent of the sampling RNG."""
 
-        def explore(backend):
-            explorer = DesignSpaceExplorer(
+        def run(backend):
+            return explore(
                 tiny_space, backend, batch_size=10, k=4,
                 training=fast_training, context=RunContext.seeded(3),
+                target_error=3.0, max_simulations=30,
             )
-            return explorer.explore(target_error=3.0, max_simulations=30)
 
-        clean = explore(SerialBackend(smooth_simulator))
+        clean = run(SerialBackend(smooth_simulator))
 
         plan = FaultPlan(crash=0.15, nan=0.1, slow=0.05, slow_s=0.0)
         chaotic_backend = ResilientBackend(
             FaultInjectingBackend(smooth_simulator, plan, seed=7),
             policy=RetryPolicy(max_retries=9),
         )
-        chaotic = explore(chaotic_backend)
+        chaotic = run(chaotic_backend)
 
         assert chaotic_backend.inner.injected > 0, "chaos run saw no faults"
         assert chaotic_backend.failures == []

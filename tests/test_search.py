@@ -23,7 +23,6 @@ from repro.core.backend import as_backend
 from repro.core.checkpoint import CheckpointError
 from repro.core.context import RunContext
 from repro.core.encoding import ParameterEncoder
-from repro.core.explorer import DesignSpaceExplorer
 from repro.core.fitting import evaluate_batch, fit_cv_round
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
@@ -72,9 +71,9 @@ def _legacy_explore(
     """The pre-search-layer exploration loop, reimplemented verbatim.
 
     Sample -> evaluate -> fit, all drawing from one context generator in
-    that order — the exact RNG consumption of the old
-    ``DesignSpaceExplorer.explore`` body.  If the refactored driver ever
-    reorders a generator draw, the trajectory comparison below breaks.
+    that order — the exact RNG consumption of the original monolithic
+    loop.  If the driver (``Environment.run``) ever reorders a generator
+    draw, the trajectory comparison below breaks.
     """
     context = RunContext.seeded(seed)
     backend = as_backend(simulate)
@@ -216,13 +215,11 @@ class TestAgentState:
         run reproduces the uninterrupted one exactly, which requires the
         agent-state slot (not just the RNG state) to round-trip."""
         def run(simulate, seed, checkpoint=None):
-            explorer = DesignSpaceExplorer(
+            return api.explore(
                 tiny_space, simulate, batch_size=8, k=4,
                 training=fast_training, context=RunContext.seeded(seed),
-                agent="annealing",
-            )
-            return explorer.explore(
-                target_error=0.001, max_simulations=24, checkpoint=checkpoint,
+                agent="annealing", target_error=0.001, max_simulations=24,
+                checkpoint=checkpoint,
             )
 
         baseline = run(smooth_simulator, seed=3)
@@ -249,17 +246,19 @@ class TestAgentState:
         path = tmp_path / "explore.ckpt"
         dying = _InterruptedSimulator(fail_after=10)
         with pytest.raises(RuntimeError, match="preempted"):
-            DesignSpaceExplorer(
-                tiny_space, dying, batch_size=8, k=4,
-                training=fast_training, context=RunContext.seeded(3),
-            ).explore(target_error=0.001, max_simulations=24, checkpoint=path)
+            api.explore(
+                tiny_space, dying, batch_size=8, k=4, training=fast_training,
+                context=RunContext.seeded(3), target_error=0.001,
+                max_simulations=24, checkpoint=path,
+            )
 
         with pytest.raises(CheckpointError, match="agent"):
-            DesignSpaceExplorer(
+            api.explore(
                 tiny_space, smooth_simulator, batch_size=8, k=4,
                 training=fast_training, context=RunContext.seeded(3),
-                agent="annealing",
-            ).explore(target_error=0.001, max_simulations=24, checkpoint=path)
+                agent="annealing", target_error=0.001, max_simulations=24,
+                checkpoint=path,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +289,17 @@ class TestEnvironment:
             self._env(tiny_space, target_error=0.0)
         with pytest.raises(ValueError, match="max_simulations"):
             self._env(tiny_space, max_simulations=2)
+        # a first round smaller than k fails before anything is simulated
+        for bad in (
+            {"initial_samples": 0},
+            {"initial_samples": -3},
+            {"initial_samples": 2},
+            {"batch_size": 2},
+        ):
+            with pytest.raises(ValueError, match="first round"):
+                self._env(tiny_space, **bad)
+        env = self._env(tiny_space, batch_size=2, initial_samples=8)
+        assert env.next_batch_size() == 8
 
     def test_observation_reflects_progress(self, tiny_space, fast_training):
         env = self._env(tiny_space, training=fast_training)
