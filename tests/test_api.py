@@ -202,6 +202,15 @@ def _explore_with(keyword):
     )
 
 
+def _environment_with(keyword):
+    """An ``Environment``, the explorer class's successor, built with the
+    expired ``keyword``."""
+    return lambda space: Environment(
+        space, _simulate_fn(space), target_error=1.0, max_simulations=8,
+        **{keyword: None},
+    )
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -215,12 +224,17 @@ def _explore_with(keyword):
         _explore_with("telemetry"),
         _explore_with("metrics"),
         _explore_with("sampler"),
+        _environment_with("rng"),
+        _environment_with("telemetry"),
+        _environment_with("metrics"),
+        _environment_with("sampler"),
     ],
     ids=[
         "crossval-rng", "crossval-n_jobs", "crossval-telemetry",
         "crossval-metrics", "crossapp-rng", "retry-max_attempts",
         "explore-rng", "explore-telemetry", "explore-metrics",
-        "explore-sampler",
+        "explore-sampler", "explorer-rng", "explorer-telemetry",
+        "explorer-metrics", "explorer-sampler",
     ],
 )
 def test_expired_keywords_are_rejected(build, tiny_space):
