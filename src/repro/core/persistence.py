@@ -11,11 +11,14 @@ exploration checkpoints embed their predictor.
 
 from __future__ import annotations
 
+import io
+import os
 from pathlib import Path
 from typing import BinaryIO, Dict, Union
 
 import numpy as np
 
+from ..obs.atomicio import atomic_write_bytes
 from .encoding import MultiTargetScaler, TargetScaler
 from .ensemble import EnsemblePredictor
 from .network import FeedForwardNetwork
@@ -41,6 +44,11 @@ def save_predictor(predictor: EnsemblePredictor, path: Target) -> None:
     A shared :class:`TargetScaler` (scalar ensembles) is stored once;
     per-member :class:`MultiTargetScaler` s (multi-target ensembles)
     are stored one low/high vector per member.
+
+    A path is written atomically, so a save that dies midway leaves the
+    previous file intact; like :func:`numpy.savez_compressed`, ``.npz``
+    is appended to a path that lacks it.  A binary file receives the
+    archive bytes directly.
     """
     arrays: Dict[str, np.ndarray] = {
         "format_version": np.array(FORMAT_VERSION),
@@ -68,7 +76,15 @@ def save_predictor(predictor: EnsemblePredictor, path: Target) -> None:
         )
         for layer, weights in enumerate(network.weights):
             arrays[f"net{i}_w{layer}"] = weights
-    np.savez_compressed(path, **arrays)
+    if not isinstance(path, (str, os.PathLike)):
+        np.savez_compressed(path, **arrays)
+        return
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    path = os.fspath(path)
+    atomic_write_bytes(
+        path if path.endswith(".npz") else path + ".npz", buffer.getvalue()
+    )
 
 
 def _rebuild_network(data, index: int) -> FeedForwardNetwork:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -67,6 +67,11 @@ _FIXED_POINT_ITERATIONS = 4
 #: weight of compulsory misses: the model targets the steady state of a
 #: long (MinneSPEC-scale) run, where first-touch misses are amortized
 _COLD_MISS_WEIGHT = 0.02
+
+
+#: ``ApplicationProfile`` dict fields, by how their values are stored
+_TABLE_FIELDS = ("mix", "mispredict_rates", "btb_miss_rates", "ilp_curve")
+_REUSE_FIELDS = ("data_profiles", "load_profiles", "instr_profiles")
 
 
 def _dataflow_ilp_curve(trace: Trace) -> Dict[int, float]:
@@ -187,6 +192,66 @@ class ApplicationProfile:
             ),
             ilp_curve=_dataflow_ilp_curve(trace),
             serial_load_fraction=serial_load_fraction,
+        )
+
+    def to_arrays(self, prefix: str = "") -> Dict[str, np.ndarray]:
+        """This profile as plain named arrays (its pickle-free cache codec).
+
+        Scalars become 0-d arrays and dicts parallel ``.keys``/``.values``
+        arrays; each reuse profile is stored under its own
+        ``<field>.<size>.`` prefix.  :meth:`from_arrays` inverts it
+        exactly, down to key types and order.
+        """
+        arrays = {
+            f"{prefix}name": np.array(self.name),
+            f"{prefix}n_instructions": np.array(self.n_instructions),
+            f"{prefix}taken_fraction": np.array(self.taken_fraction),
+            f"{prefix}serial_load_fraction": np.array(self.serial_load_fraction),
+        }
+        for field in _TABLE_FIELDS:
+            table = getattr(self, field)
+            arrays[f"{prefix}{field}.keys"] = np.array(list(table))
+            arrays[f"{prefix}{field}.values"] = np.array(
+                list(table.values()), dtype=np.float64
+            )
+        for field in _REUSE_FIELDS:
+            profiles = getattr(self, field)
+            arrays[f"{prefix}{field}.keys"] = np.array(list(profiles))
+            for size, profile in profiles.items():
+                arrays.update(profile.to_arrays(f"{prefix}{field}.{size}."))
+        return arrays
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], prefix: str = ""
+    ) -> "ApplicationProfile":
+        """Rebuild a :meth:`to_arrays` profile; malformed arrays raise."""
+
+        def keys(field: str) -> list:
+            return arrays[f"{prefix}{field}.keys"].tolist()
+
+        def table(field: str) -> dict:
+            names = keys(field)
+            values = arrays[f"{prefix}{field}.values"].tolist()
+            if len(names) != len(values):
+                raise ValueError(f"{prefix}{field}: keys and values differ in length")
+            return dict(zip(names, values))
+
+        def reuse(field: str) -> Dict[int, ReuseProfile]:
+            return {
+                size: ReuseProfile.from_arrays(arrays, f"{prefix}{field}.{size}.")
+                for size in keys(field)
+            }
+
+        return cls(
+            name=str(arrays[f"{prefix}name"].item()),
+            n_instructions=int(arrays[f"{prefix}n_instructions"].item()),
+            taken_fraction=float(arrays[f"{prefix}taken_fraction"].item()),
+            serial_load_fraction=float(
+                arrays[f"{prefix}serial_load_fraction"].item()
+            ),
+            **{field: table(field) for field in _TABLE_FIELDS},
+            **{field: reuse(field) for field in _REUSE_FIELDS},
         )
 
     # ------------------------------------------------------------------

@@ -44,11 +44,12 @@ from ..core.checkpoint import (
     save_checkpoint,
 )
 from ..core.context import RunContext
-from ..obs.atomicio import atomic_write_pickle, load_cached_pickle
 from ..core.encoding import design_matrix
 from ..core.error import percentage_errors
 from ..core.fitting import evaluate_batch, fit_cv_round
 from ..core.training import TrainingConfig
+from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import NULL_TELEMETRY
 from ..workloads.spec import get_workload
 from .studies import (
     SimPointStudySimulator,
@@ -167,8 +168,13 @@ def _curve_cache_path(
     workload_seed = get_workload(benchmark).seed
     return cache_dir / (
         f"curve-v{RUNNER_VERSION}-{study.name}-{benchmark}-w{workload_seed}-"
-        f"{source}-{sizes_digest}-{seed}-{_training_fingerprint(training)}.pkl"
+        f"{source}-{sizes_digest}-{seed}-{_training_fingerprint(training)}.json"
     )
+
+
+#: the curve cache reuses the checkpoint codec but narrates itself as
+#: ``cache.*``, so the checkpoint primitives run unobserved
+_UNOBSERVED = MetricsRegistry(enabled=False)
 
 
 def _load_cached_curve(
@@ -191,8 +197,12 @@ def _load_cached_curve(
         telemetry.emit("cache.read_error", kind="curve", path=str(path), error=error)
         metrics.inc("cache.read_errors")
 
-    cached = load_cached_pickle(path, LearningCurve, on_error=read_error)
-    if cached is None:
+    try:
+        cached = load_checkpoint(
+            path, NULL_TELEMETRY, _UNOBSERVED, decode=LearningCurve.from_payload
+        )
+    except Exception as exc:  # any bad cache entry is a miss
+        read_error(repr(exc))
         return None
     if len(cached.points) != n_sizes:
         read_error("stale cached curve: different size grid")
@@ -205,10 +215,15 @@ def _load_cached_curve(
 def _store_cached_curve(
     path: Path, curve: LearningCurve, context: RunContext
 ) -> None:
-    """Write a curve atomically, narrating write failures."""
+    """Write a curve atomically, narrating write failures.
+
+    A rejected entry is cleared first, so the cache keeps no rotated
+    ``.prev`` copy of it.
+    """
     try:
-        atomic_write_pickle(path, curve)
-    except OSError as exc:
+        clear_checkpoint(path, NULL_TELEMETRY, _UNOBSERVED)
+        save_checkpoint(path, curve, NULL_TELEMETRY, _UNOBSERVED)
+    except (OSError, ValueError) as exc:
         context.telemetry.emit(
             "cache.write_error", kind="curve", path=str(path),
             error=repr(exc),

@@ -10,24 +10,18 @@ does with its 300K+ simulations.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.context import default_cache_dir
 from ..cpu.config import (
     MachineConfig,
     dependent_l1_associativity,
     dependent_l2_associativity,
 )
-from ..cpu.simulator import (
-    ENGINES,
-    Simulator,
-    _profile_cache_dir,
-    get_interval_simulator,
-)
+from ..cpu.simulator import ENGINES, Simulator, get_interval_simulator
 from ..designspace import (
     CardinalParameter,
     ContinuousParameter,
@@ -36,6 +30,7 @@ from ..designspace import (
     NominalParameter,
 )
 from ..designspace.space import Config
+from ..obs.atomicio import atomic_write_arrays, load_cached_arrays
 from ..workloads.spec import SPEC_WORKLOADS
 
 KB = 1024
@@ -400,25 +395,25 @@ def full_space_ground_truth(study: Study, benchmark: str) -> np.ndarray:
     key = (study.name, benchmark)
     if key in _TRUTH_CACHE:
         return _TRUTH_CACHE[key]
-    cache_dir = _profile_cache_dir()
+    cache_dir = default_cache_dir()
     workload_seed = SPEC_WORKLOADS[benchmark].seed
     path = (
         cache_dir
         / (
             f"truth-v{GROUND_TRUTH_VERSION}-{study.name}-{benchmark}-"
-            f"{workload_seed}.npy"
+            f"{workload_seed}.npz"
         )
         if cache_dir
         else None
     )
-    truth: Optional[np.ndarray] = None
-    if path is not None and path.exists():
-        try:
-            truth = np.load(path)
-            if len(truth) != len(study.space):
-                truth = None
-        except (OSError, ValueError):
-            truth = None
+
+    def decode(arrays) -> np.ndarray:
+        truth = arrays["truth"]
+        if truth.dtype != np.float64 or truth.shape != (len(study.space),):
+            raise ValueError(f"stale ground truth: {truth.dtype} {truth.shape}")
+        return truth
+
+    truth = load_cached_arrays(path, decode) if path is not None else None
     if truth is None:
         evaluator = get_interval_simulator(benchmark)
         truth = np.fromiter(
@@ -431,11 +426,8 @@ def full_space_ground_truth(study: Study, benchmark: str) -> np.ndarray:
         )
         if path is not None:
             try:
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npy")
-                os.close(fd)
-                np.save(tmp, truth)
-                os.replace(tmp, path)
+                atomic_write_arrays(path, {"truth": truth})
             except OSError:
-                pass
+                pass  # caching is best-effort
     _TRUTH_CACHE[key] = truth
     return truth

@@ -16,7 +16,7 @@ correction validated against the detailed cache model in the test suite.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -150,6 +150,34 @@ class ReuseProfile:
         """
         profile = cls.__new__(cls)
         profile._init_from_distances(np.asarray(distances), store_mask)
+        return profile
+
+    def to_arrays(self, prefix: str = "") -> Dict[str, np.ndarray]:
+        """This profile as plain named arrays (its pickle-free cache codec)."""
+        return {
+            f"{prefix}n_references": np.array(self.n_references),
+            f"{prefix}n_cold": np.array(self.n_cold),
+            f"{prefix}sorted_distances": self._sorted_distances,
+            f"{prefix}store_fraction": np.array(self.store_fraction),
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], prefix: str = ""
+    ) -> "ReuseProfile":
+        """Rebuild a :meth:`to_arrays` profile; malformed arrays raise."""
+        profile = cls.__new__(cls)
+        profile.n_references = int(arrays[f"{prefix}n_references"].item())
+        profile.n_cold = int(arrays[f"{prefix}n_cold"].item())
+        profile._sorted_distances = arrays[f"{prefix}sorted_distances"]
+        profile.store_fraction = float(arrays[f"{prefix}store_fraction"].item())
+        distances = profile._sorted_distances
+        if (
+            distances.ndim != 1
+            or distances.dtype.kind != "i"
+            or profile.n_cold + len(distances) != profile.n_references
+        ):
+            raise ValueError(f"malformed reuse profile arrays at {prefix!r}")
         return profile
 
     def _init_from_distances(

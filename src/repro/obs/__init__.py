@@ -16,21 +16,23 @@ package is the substrate that accounting flows through at runtime:
   ``repro profile`` subcommand;
 * :mod:`repro.obs.atomicio` — write-temp-then-rename file writes, so an
   interrupted run never leaves a truncated artifact (telemetry
-  documents, metrics snapshots, caches, checkpoints);
+  documents, metrics snapshots, caches, checkpoints), and the
+  pickle-free ``.npz`` load-or-rebuild pair every disk cache uses;
 * :mod:`repro.obs.resources` — ``getrusage``-based CPU/RSS/wall
   accounting (:class:`ResourceMeter`), the per-cell cost meter behind
   the campaign orchestrator's ``campaign.*`` accounting.
 
 Event and metric names are documented in ``docs/observability.md``.
-This package deliberately imports nothing from the rest of ``repro`` so
-every layer (core, simulators, CLI) can depend on it without cycles.
+This package imports numpy but deliberately nothing from the rest of
+``repro``, so every layer (core, simulators, CLI) can depend on it
+without cycles.
 """
 
 from .atomicio import (
+    atomic_write_arrays,
     atomic_write_bytes,
-    atomic_write_pickle,
     atomic_write_text,
-    load_cached_pickle,
+    load_cached_arrays,
 )
 from .metrics import (
     METRICS,
@@ -62,10 +64,10 @@ __all__ = [
     "TelemetryEvent",
     "TelemetryReport",
     "TimerStats",
+    "atomic_write_arrays",
     "atomic_write_bytes",
-    "atomic_write_pickle",
     "atomic_write_text",
     "disable_metrics",
     "enable_metrics",
-    "load_cached_pickle",
+    "load_cached_arrays",
 ]

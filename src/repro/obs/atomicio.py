@@ -1,31 +1,37 @@
 """Atomic file writes: no reader ever sees a truncated artifact.
 
-Every JSON/pickle artifact the package persists — telemetry documents,
-metrics snapshots, learning-curve caches, exploration checkpoints — is
-written with the same discipline: serialize to a temporary file in the
-destination directory, flush + fsync it, then :func:`os.replace` it over
-the final path.  ``os.replace`` is atomic on POSIX and Windows, so a
-run killed mid-write leaves either the previous complete file or no
+Every artifact the package persists — telemetry documents, metrics
+snapshots, exploration checkpoints, saved predictors, rebuildable caches
+— is written with the same discipline: serialize to a temporary file in
+the destination directory, flush + fsync it, then :func:`os.replace` it
+over the final path.  ``os.replace`` is atomic on POSIX and Windows, so
+a run killed mid-write leaves either the previous complete file or no
 file at all, never a half-written one.  This is the property the
 crash-safe checkpoint/resume layer (:mod:`repro.core.checkpoint`) is
 built on.
 
-Pickled caches are read back with :func:`load_cached_pickle`, which
-turns every kind of bad file into a miss, so a cache can always be
-rebuilt instead of failing the run.
+Rebuildable caches (workload profiles, SimPoint interval profiles,
+full-space ground truth) are plain-array ``.npz`` files: written with
+:func:`atomic_write_arrays` and read back with
+:func:`load_cached_arrays`, which never unpickles anything and turns
+every kind of bad file into a miss, so a cache can always be rebuilt
+instead of failing the run.
 
-This module imports nothing from the rest of the package (stdlib only),
-so every layer — ``repro.obs`` itself, ``repro.core``,
-``repro.experiments``, the CLI — can use it without cycles.
+This module imports numpy and the standard library but nothing from the
+rest of the package, so every layer — ``repro.obs`` itself,
+``repro.core``, ``repro.experiments``, the CLI — can use it without
+cycles.
 """
 
 from __future__ import annotations
 
+import io
 import os
-import pickle
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional, Type, TypeVar, Union
+from typing import Callable, Mapping, Optional, TypeVar, Union
+
+import numpy as np
 
 PathLike = Union[str, Path]
 T = TypeVar("T")
@@ -62,37 +68,34 @@ def atomic_write_text(path: PathLike, text: str, encoding: str = "utf-8") -> Non
     atomic_write_bytes(path, text.encode(encoding))
 
 
-def atomic_write_pickle(path: PathLike, obj: object) -> None:
-    """Pickle ``obj`` to ``path`` atomically (highest protocol)."""
-    atomic_write_bytes(path, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+def atomic_write_arrays(path: PathLike, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write named ``arrays`` to ``path`` atomically as an uncompressed
+    ``.npz`` archive (compression costs more than it saves on caches)."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    atomic_write_bytes(path, buffer.getvalue())
 
 
-def load_cached_pickle(
+def load_cached_arrays(
     path: PathLike,
-    expected_type: Type[T],
+    decode: Callable[[Mapping[str, np.ndarray]], T],
     on_error: Optional[Callable[[str], None]] = None,
 ) -> Optional[T]:
-    """Read a pickled cache entry written by :func:`atomic_write_pickle`.
+    """Read a cache entry written by :func:`atomic_write_arrays` and
+    ``decode`` its arrays into the cached value.
 
-    A cache entry can always be rebuilt, so every way the file can be bad
-    is a miss (``None``) rather than an error: missing or unreadable,
-    truncated, an unknown pickle protocol, undecodable bytes, a class that
-    no longer imports, or an object that is not an ``expected_type``.
-    ``on_error``, if given, receives a description of why the entry was
-    rejected.
+    Object arrays are refused (``allow_pickle=False``), so reading a
+    cache never runs code.  A cache entry can always be rebuilt, so every
+    way the file can be bad is a miss (``None``) rather than an error:
+    missing or unreadable, empty or truncated, not an ``.npz`` archive,
+    holding pickled data, or arrays ``decode`` rejects (any exception,
+    e.g. a missing key or a wrong shape).  ``on_error``, if given,
+    receives a description of why the entry was rejected.
     """
     try:
-        with open(path, "rb") as handle:
-            value = pickle.load(handle)
+        with np.load(path, allow_pickle=False) as arrays:
+            return decode(arrays)
     except Exception as exc:
         if on_error is not None:
             on_error(repr(exc))
         return None
-    if not isinstance(value, expected_type):
-        if on_error is not None:
-            on_error(
-                f"expected {expected_type.__name__}, "
-                f"found {type(value).__name__}"
-            )
-        return None
-    return value

@@ -21,14 +21,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.context import default_cache_dir
 from ..cpu.config import MachineConfig
 from ..cpu.interval import (
     ApplicationProfile,
     IntervalSimulator,
     build_interval_profiles,
 )
-from ..cpu.simulator import _profile_cache_dir
-from ..obs.atomicio import atomic_write_pickle, load_cached_pickle
+from ..obs.atomicio import atomic_write_arrays, load_cached_arrays
 from ..workloads.generator import generate_trace
 from ..workloads.spec import get_workload
 from ..workloads.trace import Trace
@@ -156,29 +156,38 @@ def get_interval_profiles(
     key = (benchmark, len(trace), interval_length)
     if key in _INTERVAL_PROFILE_CACHE:
         return _INTERVAL_PROFILE_CACHE[key]
-    cache_dir = _profile_cache_dir()
+    cache_dir = default_cache_dir()
     workload_seed = get_workload(benchmark).seed
     cache_path = (
         cache_dir
         / (
             f"intervals-v{SIMPOINT_VERSION}-{benchmark}-{len(trace)}-"
-            f"{workload_seed}-{interval_length}.pkl"
+            f"{workload_seed}-{interval_length}.npz"
         )
         if cache_dir
         else None
     )
+    # one array-codec prefix per interval: "0.", "1.", ...
+    n_intervals = len(trace.intervals(interval_length))
     profiles = (
-        load_cached_pickle(cache_path, list) if cache_path is not None else None
+        load_cached_arrays(
+            cache_path,
+            lambda arrays: [
+                ApplicationProfile.from_arrays(arrays, f"{i}.")
+                for i in range(n_intervals)
+            ],
+        )
+        if cache_path is not None
+        else None
     )
-    if profiles is not None and not all(
-        isinstance(profile, ApplicationProfile) for profile in profiles
-    ):
-        profiles = None
     if profiles is None:
         profiles = build_interval_profiles(trace, interval_length)
         if cache_path is not None:
+            arrays = {}
+            for i, profile in enumerate(profiles):
+                arrays.update(profile.to_arrays(f"{i}."))
             try:
-                atomic_write_pickle(cache_path, profiles)
+                atomic_write_arrays(cache_path, arrays)
             except OSError:
                 pass
     _INTERVAL_PROFILE_CACHE[key] = profiles

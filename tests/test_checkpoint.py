@@ -1,6 +1,7 @@
 """Tests for crash-safe checkpointing and atomic artifact writes."""
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -31,10 +32,10 @@ from repro.experiments.runner import (
     _progress_path,
 )
 from repro.obs import (
+    atomic_write_arrays,
     atomic_write_bytes,
-    atomic_write_pickle,
     atomic_write_text,
-    load_cached_pickle,
+    load_cached_arrays,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
@@ -43,7 +44,8 @@ from repro.search import ExplorationRound
 from .test_backend import smooth_simulator
 
 #: bytes a pickled cache file can hold after a crash, a disk fault or a
-#: newer Python, each failing a different way inside ``pickle.load``
+#: newer Python, each failing a different way inside ``pickle.load``;
+#: the caches never unpickle, so to them each is just a bad file
 CORRUPT_PICKLES = {
     "unknown-protocol": b"\x80\x09junk",  # ValueError
     "undecodable": b"c\xff\xfe\n\xff\n.",  # UnicodeDecodeError
@@ -52,6 +54,49 @@ CORRUPT_PICKLES = {
     "empty": b"",  # EOFError
     "wrong-type": pickle.dumps({"not": "a cache entry"}),
 }
+
+#: set by :class:`Trap` when unpickled: proof that a cache ran code
+SENTINEL = {"tripped": False}
+
+
+def _trip() -> str:
+    SENTINEL["tripped"] = True
+    return "tripped"
+
+
+class Trap:
+    """An object whose unpickling sets :data:`SENTINEL`."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def npz_bytes(arrays) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def hostile_cache_files(valid: bytes) -> dict:
+    """Bad contents for a cache file whose good ``.npz`` bytes are
+    ``valid``: :data:`CORRUPT_PICKLES`, the archive cut in half, the
+    archive without its last array, and the archive with its first array
+    replaced by a pickled object array that trips :data:`SENTINEL`."""
+    with np.load(io.BytesIO(valid), allow_pickle=False) as archive:
+        arrays = dict(archive)
+    names = list(arrays)
+    return {
+        **CORRUPT_PICKLES,
+        "truncated-npz": valid[: len(valid) // 2],
+        "missing-key": npz_bytes({k: arrays[k] for k in names[:-1]}),
+        "object-array": npz_bytes(
+            {**arrays, names[0]: np.array([Trap()], dtype=object)}
+        ),
+    }
+
+
+def _decode_pair(arrays):
+    return arrays["a"], arrays["b"]
 
 
 class TestAtomicWrites:
@@ -69,39 +114,71 @@ class TestAtomicWrites:
         assert path.read_bytes() == b"\x00\x01"
 
     def test_pickle_roundtrip(self, tmp_path):
-        path = tmp_path / "state.pkl"
-        atomic_write_pickle(path, {"a": [1, 2, 3]})
-        with open(path, "rb") as handle:
-            assert pickle.load(handle) == {"a": [1, 2, 3]}
+        """A legacy pickle cache file is a miss, and is never unpickled."""
+        path = tmp_path / "entry.npz"
+        atomic_write_bytes(path, pickle.dumps([Trap()]))
+        errors = []
+        assert load_cached_arrays(path, dict, on_error=errors.append) is None
+        assert "pickled" in errors[0]
+        assert not SENTINEL["tripped"]
 
     def test_cached_pickle_roundtrip(self, tmp_path):
-        path = tmp_path / "entry.pkl"
-        atomic_write_pickle(path, [1, 2])
-        assert load_cached_pickle(path, list) == [1, 2]
+        path = tmp_path / "entry.npz"
+        a, b = np.arange(5, dtype=np.int64), np.array("name")
+        atomic_write_arrays(path, {"a": a, "b": b})
+        loaded_a, loaded_b = load_cached_arrays(path, _decode_pair)
+        np.testing.assert_array_equal(loaded_a, a)
+        assert loaded_a.dtype == a.dtype
+        assert loaded_b.dtype == b.dtype and str(loaded_b) == "name"
+        assert os.listdir(tmp_path) == ["entry.npz"]
 
     def test_missing_cached_pickle_is_a_miss(self, tmp_path):
         errors = []
-        missing = tmp_path / "absent.pkl"
-        assert load_cached_pickle(missing, list, on_error=errors.append) is None
+        missing = tmp_path / "absent.npz"
+        assert load_cached_arrays(missing, dict, on_error=errors.append) is None
         assert len(errors) == 1
 
     @pytest.mark.parametrize("data", CORRUPT_PICKLES.values(), ids=CORRUPT_PICKLES)
     def test_corrupt_cached_pickle_is_a_miss(self, tmp_path, data):
-        path = tmp_path / "entry.pkl"
+        path = tmp_path / "entry.npz"
         path.write_bytes(data)
         errors = []
-        assert load_cached_pickle(path, list, on_error=errors.append) is None
+        assert load_cached_arrays(path, dict, on_error=errors.append) is None
         assert len(errors) == 1
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        class Unpicklable:
-            def __reduce__(self):
-                raise TypeError("nope")
+    @pytest.mark.parametrize(
+        "name", ["truncated-npz", "missing-key", "object-array"]
+    )
+    def test_hostile_cached_arrays_are_a_miss(self, tmp_path, name):
+        valid = npz_bytes({"a": np.arange(100), "b": np.array("x")})
+        path = tmp_path / "entry.npz"
+        path.write_bytes(hostile_cache_files(valid)[name])
+        errors = []
+        assert load_cached_arrays(path, _decode_pair, errors.append) is None
+        assert len(errors) == 1
+        assert not SENTINEL["tripped"]
 
-        path = tmp_path / "state.pkl"
-        with pytest.raises(TypeError):
-            atomic_write_pickle(path, Unpicklable())
-        assert os.listdir(tmp_path) == []
+    def test_object_array_trap_is_armed(self):
+        """The object-array payload really runs code when unpickled, so
+        the sentinel checks above prove the caches never do."""
+        valid = npz_bytes({"a": np.arange(3)})
+        trapped = hostile_cache_files(valid)["object-array"]
+        with np.load(io.BytesIO(trapped), allow_pickle=True) as archive:
+            archive["a"]
+        assert SENTINEL["tripped"]
+        SENTINEL["tripped"] = False
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        path = tmp_path / "entry.npz"
+        atomic_write_arrays(path, {"a": np.arange(3)})
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_arrays(path, {"a": np.arange(4)})
+        assert os.listdir(tmp_path) == ["entry.npz"]
+        assert len(load_cached_arrays(path, lambda arrays: arrays["a"])) == 3
 
 
 class TestCheckpointPrimitives:
@@ -283,14 +360,16 @@ class TestSelfHealingCheckpoints:
         monkeypatch.setattr(owner, name, removed, raising=False)
         blob = pickle.dumps({"round": 1, "predictor": removed()})
         path = tmp_path / "run.ckpt"
-        atomic_write_pickle(
+        atomic_write_bytes(
             path,
-            {
-                "format": "repro-checkpoint",
-                "version": 1,
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "payload": blob,
-            },
+            pickle.dumps(
+                {
+                    "format": "repro-checkpoint",
+                    "version": 1,
+                    "sha256": hashlib.sha256(blob).hexdigest(),
+                    "payload": blob,
+                }
+            ),
         )
         monkeypatch.undo()
         assert not hasattr(owner, name)
@@ -557,6 +636,36 @@ class TestCurveResume:
             assert got.estimated_mean == want.estimated_mean
         # the progress file is cleared once the curve completes
         assert not progress.exists()
+
+    def test_cached_resumable_run_narrates_only_its_progress(
+        self, tmp_path, fast_training
+    ):
+        """Storing the finished curve in the cache goes through the
+        checkpoint codec but adds no ``checkpoint.*`` events or counts:
+        the run narrates one save per size and one clear of its
+        progress file, as a run without a cache does."""
+        context = self._context(tmp_path)
+        curve = run_learning_curve(
+            "memory-system", "gzip", sizes=self.SIZES, source="true",
+            seed=5, training=fast_training, context=context, resume=True,
+        )
+        events = [
+            e for e in context.telemetry.events if e.name.startswith("checkpoint.")
+        ]
+        assert [e.name for e in events] == [
+            "checkpoint.miss", "checkpoint.save", "checkpoint.save",
+            "checkpoint.clear",
+        ]
+        assert all(e.payload["path"].endswith(".partial") for e in events)
+        assert {
+            name: value for name, value in context.metrics.counters.items()
+            if name.startswith(("checkpoint.", "cache."))
+        } == {
+            "checkpoint.misses": 1, "checkpoint.saves": 2,
+            "checkpoint.clears": 1, "cache.misses": 1,
+        }
+        (cached,) = tmp_path.glob("curve-*.json")
+        assert load_checkpoint(cached, decode=LearningCurve.from_payload) == curve
 
     def test_incompatible_partial_is_ignored(self, tmp_path, fast_training):
         from repro.experiments import get_study

@@ -123,3 +123,38 @@ class TestMultiTargetAndLegacyFiles:
         restored = load_predictor(str(path))
         assert restored.target_names == ()
         np.testing.assert_array_equal(restored.predict(x), predictor.predict(x))
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_file(self, trained, tmp_path, monkeypatch):
+        """A save that dies after writing part of the archive leaves the
+        previous model loadable and no temporary file behind."""
+        predictor, x = trained
+        path = tmp_path / "model.npz"
+        save_predictor(predictor, path)
+        written = []
+
+        def write_array(fid, array, *args, **kwargs):
+            if written:
+                raise OSError("injected failure mid-archive")
+            written.append(array)
+            real_write_array(fid, array, *args, **kwargs)
+
+        real_write_array = np.lib.format.write_array
+        monkeypatch.setattr(np.lib.format, "write_array", write_array)
+        with pytest.raises(OSError, match="mid-archive"):
+            save_predictor(predictor, path)
+        monkeypatch.undo()
+        assert written
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        np.testing.assert_array_equal(
+            load_predictor(path).predict(x), predictor.predict(x)
+        )
+
+    def test_npz_suffix_appended_to_bare_path(self, trained, tmp_path):
+        predictor, x = trained
+        save_predictor(predictor, tmp_path / "model")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        np.testing.assert_array_equal(
+            load_predictor(tmp_path / "model.npz").predict(x), predictor.predict(x)
+        )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import RunContext
+from repro.core.checkpoint import load_checkpoint
 from repro.core.training import TrainingConfig
 from repro.experiments import (
     curve_sizes,
@@ -11,11 +12,10 @@ from repro.experiments import (
     run_learning_curve,
 )
 from repro.experiments.runner import DEFAULT_SIZES, PAPER_SIZES, LearningCurve
-from repro.obs import load_cached_pickle
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
-from .test_checkpoint import CORRUPT_PICKLES
+from .test_checkpoint import SENTINEL, hostile_cache_files, npz_bytes
 
 FAST = TrainingConfig(
     hidden_layers=(8,), max_epochs=150, patience=5, check_interval=10
@@ -96,7 +96,14 @@ class TestRunLearningCurve:
         second = run_learning_curve(
             "memory-system", "gzip", sizes=(50,), seed=13, training=FAST
         )
-        assert first.points[0].true_mean == second.points[0].true_mean
+        assert second is not first
+        assert second == first
+        for loaded, built in zip(second.points, first.points):
+            for name, value in vars(built).items():
+                assert type(getattr(loaded, name)) is type(value)
+        assert [p.name for p in tmp_path.glob("curve-*")] == [
+            p.name for p in tmp_path.glob("curve-*.json")
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -168,14 +175,30 @@ class TestCacheTelemetry:
         assert second.metrics.counter("cache.hits") == 1
         # a hit means no training happened
         assert not second.telemetry.events_named("curve.point")
+        # the cache reuses the checkpoint codec without its narration
+        for context in (first, second):
+            assert not [
+                e for e in context.telemetry.events
+                if e.name.startswith("checkpoint.")
+            ]
+            assert not [
+                name for name in context.metrics.counters
+                if name.startswith("checkpoint.")
+            ]
 
     def test_corrupt_cache_emits_read_error(self, tmp_path):
         run_learning_curve(
             "memory-system", "gzip", sizes=(50,), seed=22,
             training=FAST, context=_observed_context(tmp_path),
         )
-        (cached,) = tmp_path.glob("curve-*.pkl")
-        for data in CORRUPT_PICKLES.values():
+        (cached,) = tmp_path.glob("curve-*.json")
+        valid = cached.read_bytes()
+        payloads = {
+            **hostile_cache_files(npz_bytes({"points": np.arange(3)})),
+            "truncated-json": valid[: len(valid) // 2],
+            "foreign-json": b'{"points": []}',
+        }
+        for data in payloads.values():
             cached.write_bytes(data)
             context = _observed_context(tmp_path)
             curve = run_learning_curve(
@@ -188,7 +211,8 @@ class TestCacheTelemetry:
             assert events[0].payload["error"]
             assert context.metrics.counter("cache.read_errors") == 1
             assert curve.points  # the curve was recomputed regardless
-            assert load_cached_pickle(cached, LearningCurve) is not None
+            assert load_checkpoint(cached, decode=LearningCurve.from_payload)
+        assert not SENTINEL["tripped"]
 
     def test_unwritable_cache_emits_write_error(self, tmp_path):
         context = _observed_context(tmp_path / "does-not-exist")

@@ -1,13 +1,12 @@
 """Tests for the SimPoint pipeline (BBVs, selection, noisy estimation)."""
 
-import pickle
-
 import numpy as np
 import pytest
 
 import repro.simpoint.simpoint as simpoint_module
 from repro.cpu import MachineConfig, get_interval_simulator
-from repro.obs import load_cached_pickle
+from repro.cpu.interval import ApplicationProfile
+from repro.obs import load_cached_arrays
 from repro.simpoint import (
     SimPointSimulator,
     basic_block_vector,
@@ -18,7 +17,8 @@ from repro.simpoint import (
 )
 from repro.workloads import generate_trace
 
-from .test_checkpoint import CORRUPT_PICKLES
+from .test_checkpoint import SENTINEL, hostile_cache_files
+from .test_simulator import assert_profiles_identical
 
 TRACE_LEN = 12_000
 INTERVAL = 2_000
@@ -107,21 +107,38 @@ class TestSelection:
         assert a.points == b.points
 
 
+def _decode_intervals(arrays):
+    n_intervals = len(generate_trace("mesa", TRACE_LEN).intervals(INTERVAL))
+    return [
+        ApplicationProfile.from_arrays(arrays, f"{i}.") for i in range(n_intervals)
+    ]
+
+
 class TestIntervalProfileCache:
+    def test_warm_intervals_identical_to_built(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(simpoint_module, "_INTERVAL_PROFILE_CACHE", {})
+        built = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
+        simpoint_module._INTERVAL_PROFILE_CACHE.clear()
+        warm = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
+        assert warm is not built and len(warm) == len(built) > 1
+        for loaded, original in zip(warm, built):
+            assert_profiles_identical(loaded, original)
+
     def test_corrupt_cache_entry_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(simpoint_module, "_INTERVAL_PROFILE_CACHE", {})
         built = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
-        (path,) = tmp_path.glob("intervals-*.pkl")
-        wrong_entries = pickle.dumps([1, 2, 3])
-        for data in [*CORRUPT_PICKLES.values(), wrong_entries]:
+        (path,) = tmp_path.glob("intervals-*.npz")
+        for data in hostile_cache_files(path.read_bytes()).values():
             path.write_bytes(data)
             simpoint_module._INTERVAL_PROFILE_CACHE.clear()
             profiles = get_interval_profiles("mesa", INTERVAL, TRACE_LEN)
-            assert [p.mispredict_rates for p in profiles] == [
-                p.mispredict_rates for p in built
-            ]
-            assert len(load_cached_pickle(path, list)) == len(built)
+            assert len(profiles) == len(built)
+            for rebuilt, original in zip(profiles, built):
+                assert_profiles_identical(rebuilt, original)
+            assert len(load_cached_arrays(path, _decode_intervals)) == len(built)
+        assert not SENTINEL["tripped"]
 
 
 @pytest.mark.slow

@@ -1,20 +1,48 @@
 """Tests for the SIM(p, A) facade and its caches."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.cpu import (
     ApplicationProfile,
+    IntervalSimulator,
     MachineConfig,
     Simulator,
     clear_simulator_caches,
     get_application_profile,
     get_interval_simulator,
 )
-from repro.obs import load_cached_pickle
+from repro.memory.stackdist import ReuseProfile
+from repro.obs import load_cached_arrays
 
-from .test_checkpoint import CORRUPT_PICKLES
+from .test_checkpoint import SENTINEL, hostile_cache_files
 
 TRACE_LEN = 6_000
+
+
+def assert_identical(loaded, built):
+    """Equal down to types: arrays by value and dtype, dicts by keys,
+    key types and order, reuse profiles attribute by attribute."""
+    assert type(loaded) is type(built)
+    if isinstance(built, np.ndarray):
+        assert loaded.dtype == built.dtype
+        np.testing.assert_array_equal(loaded, built)
+    elif isinstance(built, dict):
+        assert list(loaded) == list(built)
+        assert [type(k) for k in loaded] == [type(k) for k in built]
+        for key in built:
+            assert_identical(loaded[key], built[key])
+    elif isinstance(built, (ApplicationProfile, ReuseProfile)):
+        assert_identical(vars(loaded), vars(built))
+    else:
+        assert loaded == built
+
+
+def assert_profiles_identical(loaded, built):
+    assert_identical(loaded, built)
+    assert pickle.dumps(loaded) == pickle.dumps(built)
 
 
 class TestFacade:
@@ -67,9 +95,23 @@ class TestCaches:
         first = get_application_profile("gzip", TRACE_LEN)
         clear_simulator_caches()
         second = get_application_profile("gzip", TRACE_LEN)
-        assert first.mix == second.mix
-        assert first.mispredict_rates == second.mispredict_rates
-        assert any(tmp_path.glob("profile-*.pkl"))
+        assert first is not second
+        assert_profiles_identical(second, first)
+        assert any(tmp_path.glob("profile-*.npz"))
+        clear_simulator_caches()
+
+    @pytest.mark.parametrize("workload", ["mcf", "gzip"])
+    def test_warm_profile_identical_to_built(self, tmp_path, monkeypatch, workload):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_simulator_caches()
+        built = get_application_profile(workload, 20_000)
+        (path,) = tmp_path.glob(f"profile-*-{workload}-*.npz")
+        warm = load_cached_arrays(path, ApplicationProfile.from_arrays)
+        assert_profiles_identical(warm, built)
+        config = MachineConfig()
+        assert IntervalSimulator(warm).evaluate_ipc(config) == (
+            IntervalSimulator(built).evaluate_ipc(config)
+        )
         clear_simulator_caches()
 
     def test_disk_cache_disabled_by_empty_env(self, tmp_path, monkeypatch):
@@ -83,11 +125,12 @@ class TestCaches:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_simulator_caches()
         built = get_application_profile("gzip", TRACE_LEN)
-        (path,) = tmp_path.glob("profile-*.pkl")
-        for data in CORRUPT_PICKLES.values():
+        (path,) = tmp_path.glob("profile-*.npz")
+        for data in hostile_cache_files(path.read_bytes()).values():
             path.write_bytes(data)
             clear_simulator_caches()
             profile = get_application_profile("gzip", TRACE_LEN)
-            assert profile.mispredict_rates == built.mispredict_rates
-            assert load_cached_pickle(path, ApplicationProfile) is not None
+            assert_profiles_identical(profile, built)
+            assert load_cached_arrays(path, ApplicationProfile.from_arrays)
+        assert not SENTINEL["tripped"]
         clear_simulator_caches()

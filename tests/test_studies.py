@@ -1,8 +1,14 @@
 """Tests for the paper's two study definitions (Tables 4.1/4.2)."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
+import repro.experiments.studies as studies_module
+from repro.cpu.simulator import get_interval_simulator
+from repro.designspace import DesignSpace
 from repro.experiments import (
     SCALAR_STUDY_NAMES,
     STUDY_NAMES,
@@ -14,6 +20,9 @@ from repro.experiments import (
     processor_machine,
 )
 from repro.experiments.studies import REGISTER_FILE_CHOICES
+from repro.obs import load_cached_arrays
+
+from .test_checkpoint import SENTINEL, hostile_cache_files, npz_bytes
 
 
 class TestMemorySystemSpace:
@@ -195,3 +204,68 @@ class TestSimulationEndpoints:
         started = time.perf_counter()
         full_space_ground_truth(study, "gzip")
         assert time.perf_counter() - started < 0.1
+
+
+class TestGroundTruthCache:
+    """Every bad ground-truth cache file is a miss that rebuilds, and a
+    failed cache write leaves nothing behind.  Runs on a 512-point
+    memory-system subspace over a short trace to stay fast."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(studies_module, "_TRUTH_CACHE", {})
+        monkeypatch.setattr(
+            studies_module,
+            "get_interval_simulator",
+            lambda benchmark: get_interval_simulator(benchmark, 6_000),
+        )
+        full = get_study("memory-system")
+        space = DesignSpace(
+            "memory-system-tiny",
+            [type(p)(p.name, p.values[:2]) for p in full.space.parameters],
+        )
+        return dataclasses.replace(full, name="memory-system-tiny", space=space)
+
+    def _rebuilt(self, study):
+        studies_module._TRUTH_CACHE.clear()
+        return full_space_ground_truth(study, "gzip")
+
+    def test_warm_truth_identical_to_built(self, tiny, tmp_path):
+        built = full_space_ground_truth(tiny, "gzip")
+        (path,) = tmp_path.glob("truth-*.npz")
+        warm = self._rebuilt(tiny)
+        assert warm is not built and warm.dtype == built.dtype
+        np.testing.assert_array_equal(warm, built)
+        np.testing.assert_array_equal(
+            load_cached_arrays(path, lambda arrays: arrays["truth"]), built
+        )
+
+    def test_bad_truth_file_rebuilt(self, tiny, tmp_path):
+        built = full_space_ground_truth(tiny, "gzip")
+        assert built.shape == (512,)
+        (path,) = tmp_path.glob("truth-*.npz")
+        valid = path.read_bytes()
+        payloads = {
+            **hostile_cache_files(valid),
+            "garbage": os.urandom(len(valid)),
+            "stale-shape": npz_bytes({"truth": built[:-1]}),
+            "wrong-dtype": npz_bytes({"truth": built.astype(np.float32)}),
+        }
+        for name, data in payloads.items():
+            path.write_bytes(data)
+            rebuilt = self._rebuilt(tiny)
+            np.testing.assert_array_equal(rebuilt, built, err_msg=name)
+            assert path.read_bytes() != data, name
+        assert not SENTINEL["tripped"]
+
+    def test_failed_write_leaves_no_temp_file(self, tiny, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("injected rename failure")
+
+        expected = full_space_ground_truth(tiny, "gzip")
+        for path in tmp_path.iterdir():
+            path.unlink()
+        monkeypatch.setattr(os, "replace", failing_replace)
+        np.testing.assert_array_equal(self._rebuilt(tiny), expected)
+        assert list(tmp_path.iterdir()) == []
