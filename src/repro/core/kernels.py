@@ -18,15 +18,25 @@ both as fused numpy kernels:
   the epoch detects the failure in the same epoch the old per-batch
   guards did.  It is the single-network reference the stacked kernel
   below is held against.
-* :class:`EnsembleTrainingKernel` stacks the weight and velocity
-  matrices of many identically shaped member networks — the k
-  cross-validation folds of an ensemble, each with one output head per
-  target — into one set of 3-D tensors ``(members, fan_in + 1,
-  fan_out)`` per layer, and runs forward/backprop/momentum for every *active* member
-  as one batched matmul per layer per batch.  Early stopping, restarts
+* :class:`EnsembleTrainingKernel` stacks the parameters of many
+  identically shaped member networks — the k cross-validation folds of
+  an ensemble, each with one output head per target — into flat
+  ``(members, P)`` weight, velocity and gradient buffers, each layer a
+  ``(members, fan_in + 1, fan_out)`` view into them, and runs
+  forward/backprop for every *active* member as one batched matmul per
+  layer per batch.  Backprop reads only pre-update weights, so the
+  gradients of all layers land in the gradient buffer first and the
+  Equation 3.2 momentum update then runs as five in-place operations
+  over the flat buffers — elementwise the same products and sums the
+  per-layer update made, so exact.  Per-batch pre-activation and delta
+  buffers are allocated once per epoch shape.  Early stopping, restarts
   and quarantine become per-member active masks: a stopped or diverged
-  member's slice is excluded from the batched epoch (frozen in place),
-  and a restart reseeds only that slice.
+  member's row is excluded from the batched epoch (frozen in place),
+  and a restart reseeds only that row.  The early-stopping checks of
+  every member due one in the same epoch read batched weight health
+  and one stacked forward pass
+  (:meth:`~EnsembleTrainingKernel.members_weight_health`,
+  :meth:`~EnsembleTrainingKernel.predict_members`).
 * :func:`ensemble_predict` / :func:`member_predictions` /
   :func:`ensemble_variance` evaluate every ensemble member over a large
   point set in fixed-size chunks (a handful of matmuls per member per
@@ -47,6 +57,7 @@ alone, and on row-sum reductions over the batch axis preserving the
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -189,13 +200,16 @@ class TrainingKernel:
 class EnsembleTrainingKernel:
     """Fold-stacked SGD+momentum epochs over many same-shape networks.
 
-    Stacks the weight and velocity matrices of ``m`` identically shaped
-    member networks into one 3-D tensor ``(m, fan_in + 1, fan_out)``
-    per layer, together with each member's own training set, and runs
-    whole epochs for every *active* member as batched matmuls: one
-    ``(m, batch, fan_in) @ (m, fan_in, fan_out)`` forward GEMM stack
-    per layer, the mirrored backward GEMMs, then the Equation 3.2
-    momentum update with a per-member learning rate.
+    Keeps the parameters of ``m`` identically shaped member networks in
+    three contiguous ``(m, P)`` buffers — weights, velocity and a
+    gradient scratch, ``P`` parameters per member — together with each
+    member's own training set.  Each layer is a ``(m, fan_in + 1,
+    fan_out)`` view into those buffers (row 0 of the fan-in axis is the
+    bias, as in :class:`FeedForwardNetwork`), so whole epochs run for
+    every *active* member as batched matmuls: one ``(m, batch, fan_in)
+    @ (m, fan_in, fan_out)`` forward GEMM stack per layer, the mirrored
+    backward GEMMs, then one flat Equation 3.2 momentum update over the
+    buffers with a per-member learning rate.
 
     Members are the unit of control, not the unit of work:
 
@@ -206,8 +220,11 @@ class EnsembleTrainingKernel:
     * :meth:`reinit_member` reseeds one slice from a freshly
       initialized network (the divergence-restart path) without
       touching any other member;
-    * per-member reads (:meth:`member_weight_health`,
-      :meth:`predict_member`, :meth:`get_member_weights`) and writes
+    * batched reads (:meth:`members_weight_health`,
+      :meth:`predict_members`) serve every member due an
+      early-stopping check in one pass; their per-member forms
+      (:meth:`member_weight_health`, :meth:`predict_member`), reads
+      (:meth:`get_member_weights`) and writes
       (:meth:`set_member_weights`, :meth:`reset_member_velocity`)
       mirror the corresponding :class:`FeedForwardNetwork` operations
       bit-for-bit, so the early-stopping bookkeeping built on top of
@@ -283,21 +300,54 @@ class EnsembleTrainingKernel:
         # (m, n, F) / (m, n, O): each member's own dataset, stacked
         self.x = np.stack(xs)
         self.y = np.stack(ys)
-        # one (m, fan_in + 1, fan_out) tensor per layer; row 0 of the
-        # fan_in axis is the bias, exactly as in FeedForwardNetwork
-        self.weights: List[np.ndarray] = [
-            np.stack([network.weights[layer] for network in networks])
-            for layer in range(len(shapes))
-        ]
-        self.velocity: List[np.ndarray] = [
-            np.stack([network._velocity[layer] for network in networks])
-            for layer in range(len(shapes))
-        ]
+        # flat (m, P) parameter buffers; layer l occupies the columns
+        # [start, stop) of every row, row-major (fan_in + 1, fan_out)
+        self._layout = []
+        start = 0
+        for shape in shapes:
+            stop = start + shape[0] * shape[1]
+            self._layout.append((start, stop, shape))
+            start = stop
+        self.n_params = start
+        self._w = np.concatenate(
+            [
+                np.stack([network.weights[layer] for network in networks])
+                .reshape(self.n_members, -1)
+                for layer in range(len(shapes))
+            ],
+            axis=1,
+        )
+        self._v = np.concatenate(
+            [
+                np.stack([network._velocity[layer] for network in networks])
+                .reshape(self.n_members, -1)
+                for layer in range(len(shapes))
+            ],
+            axis=1,
+        )
+        #: per-layer ``(m, fan_in + 1, fan_out)`` views of the buffers
+        self.weights: List[np.ndarray] = self._layer_views(self._w)
+        self.velocity: List[np.ndarray] = self._layer_views(self._v)
         self._active = np.ones(self.n_members, dtype=bool)
         self._hidden_forward = first.hidden_activation.forward
         self._hidden_deriv = first.hidden_activation.derivative_from_output
         self._output_forward = first.output_activation.forward
         self._output_deriv = first.output_activation.derivative_from_output
+        # (x - y) * 1.0 == x - y exactly, so the identity head skips it
+        self._identity_output = first.output_activation.name == "identity"
+        # epoch workspaces keyed by active count, batch buffers keyed by
+        # (active count, batch rows): allocated once per epoch shape
+        self._workspaces = {}
+        self._batch_buffers = {}
+
+    def _layer_views(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Per-layer ``(rows, fan_in + 1, fan_out)`` views of a flat
+        ``(rows, P)`` buffer (splitting the contiguous parameter axis
+        never copies)."""
+        return [
+            flat[:, start:stop].reshape(len(flat), *shape)
+            for start, stop, shape in self._layout
+        ]
 
     # -- active-mask control -------------------------------------------
     @property
@@ -339,8 +389,7 @@ class EnsembleTrainingKernel:
     def reset_member_velocity(self, member: int) -> None:
         """Zero one member's momentum (used after weight restores);
         mirrors :meth:`FeedForwardNetwork.reset_momentum`."""
-        for velocity in self.velocity:
-            velocity[member] = 0.0
+        self._v[member] = 0.0
 
     def reinit_member(
         self, member: int, network: FeedForwardNetwork
@@ -372,70 +421,90 @@ class EnsembleTrainingKernel:
             network._velocity[layer][...] = self.velocity[layer][member]
         return network
 
-    # -- per-member health and inference -------------------------------
+    # -- health and inference ------------------------------------------
     def member_weights_finite(self, member: int) -> bool:
         """Whether one member's weights are free of NaN/inf; mirrors
         :meth:`TrainingKernel.weights_finite`."""
-        return all(np.isfinite(w[member]).all() for w in self.weights)
+        return bool(np.isfinite(self._w[member]).all())
 
     def members_finite(self) -> np.ndarray:
         """Weight finiteness for every member at once: one bool per
         member, equal to :meth:`member_weights_finite` element-wise but
-        computed as one reduction per layer instead of one per member
-        (the post-epoch guard runs every epoch, so this is on the hot
-        path)."""
-        finite = np.ones(self.n_members, dtype=bool)
-        for weight in self.weights:
-            finite &= np.isfinite(weight).all(axis=(1, 2))
-        return finite
+        computed as one reduction over the flat buffer (the post-epoch
+        guard runs every epoch, so this is on the hot path)."""
+        return np.isfinite(self._w).all(axis=1)
+
+    def members_weight_health(
+        self, members: Sequence[int]
+    ) -> List[WeightHealth]:
+        """:class:`~repro.core.network.WeightHealth` of several members
+        in one pass: one ``abs`` and saturation count over their flat
+        rows and one max per layer, then the same fold as
+        :meth:`FeedForwardNetwork.weight_health` — including Python's
+        ``max``, which keeps the running maximum when a layer's maximum
+        is NaN (``NaN > x`` is false), so a NaN layer flags
+        ``finite=False`` without poisoning ``max_abs``."""
+        magnitudes = np.abs(self._w[members])
+        max_abs = np.zeros(len(magnitudes))
+        finite = np.ones(len(magnitudes), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            saturated = np.count_nonzero(
+                magnitudes > SATURATION_THRESHOLD, axis=1
+            )
+            for start, stop, _ in self._layout:
+                layer_max = magnitudes[:, start:stop].max(axis=1)
+                finite &= np.isfinite(layer_max)
+                max_abs = np.where(layer_max > max_abs, layer_max, max_abs)
+        return [
+            WeightHealth(
+                finite=bool(ok),
+                max_abs=float(largest),
+                saturation=int(count) / self.n_params,
+            )
+            for ok, largest, count in zip(finite, max_abs, saturated)
+        ]
 
     def member_weight_health(self, member: int) -> WeightHealth:
         """One member's :class:`~repro.core.network.WeightHealth`;
         the same arithmetic as :meth:`FeedForwardNetwork.weight_health`
         applied to the member's slices."""
-        max_abs = 0.0
-        saturated = 0
-        total = 0
-        finite = True
-        for weight in self.weights:
-            magnitudes = np.abs(weight[member])
-            layer_max = float(magnitudes.max())
-            if not np.isfinite(layer_max):
-                finite = False
-            max_abs = max(max_abs, layer_max)
-            with np.errstate(invalid="ignore"):
-                saturated += int(
-                    (magnitudes > SATURATION_THRESHOLD).sum()
-                )
-            total += weight[member].size
-        return WeightHealth(
-            finite=finite,
-            max_abs=max_abs,
-            saturation=saturated / total if total else 0.0,
-        )
+        return self.members_weight_health([member])[0]
+
+    def predict_members(
+        self, members: Sequence[int], xs: np.ndarray
+    ) -> np.ndarray:
+        """Outputs of several members, each on its own inputs: ``xs`` is
+        ``(k, n, F)`` pre-validated float64, the result ``(k, n,
+        n_outputs)``.
+
+        One stacked forward pass with the arithmetic of
+        :meth:`FeedForwardNetwork.predict` per member; unlike it, no
+        finite-guard is applied, so the caller can judge each member's
+        slice on its own.
+        """
+        weights = self._layer_views(self._w[members])
+        a = xs
+        last = len(weights) - 1
+        for layer, w in enumerate(weights):
+            net = a @ w[:, 1:] + w[:, :1]
+            a = (
+                self._output_forward(net) if layer == last
+                else self._hidden_forward(net)
+            )
+        return a
 
     def predict_member(self, member: int, x: np.ndarray) -> np.ndarray:
         """One member's outputs for ``x``; shape ``(n, n_outputs)``.
 
         Mirrors :meth:`FeedForwardNetwork.predict` bit-for-bit,
-        including the validation and the non-finite output guard, so
-        early-stopping checks evaluated here match per-fold checks
-        exactly.
+        including the validation and the non-finite output guard.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.n_inputs:
             raise ValueError(
                 f"expected {self.n_inputs} input features, got {x.shape[1]}"
             )
-        a = x
-        last = len(self.weights) - 1
-        for layer, weight in enumerate(self.weights):
-            w = weight[member]
-            net = a @ w[1:] + w[0]
-            a = (
-                self._output_forward(net) if layer == last
-                else self._hidden_forward(net)
-            )
+        a = self.predict_members([member], x[None])[0]
         if not np.isfinite(a).all():
             raise TrainingDiverged(
                 "network output contains non-finite values",
@@ -444,6 +513,57 @@ class EnsembleTrainingKernel:
         return a
 
     # -- the batched epoch ---------------------------------------------
+    def _workspace(self, n_active: int) -> SimpleNamespace:
+        """Flat buffers and per-layer views for an epoch over
+        ``n_active`` members.  A full-active epoch updates the master
+        buffers in place; a partial one trains gathered copies."""
+        ws = self._workspaces.get(n_active)
+        if ws is not None:
+            return ws
+        if n_active == self.n_members:
+            w, v = self._w, self._v
+        else:
+            w = np.empty((n_active, self.n_params))
+            v = np.empty((n_active, self.n_params))
+        g = np.empty((n_active, self.n_params))
+        weights = self._layer_views(w)
+        grads = self._layer_views(g)
+        ws = SimpleNamespace(
+            w=w,
+            v=v,
+            g=g,
+            w_lin=[layer[:, 1:] for layer in weights],
+            w_bias=[layer[:, :1] for layer in weights],
+            # backprop through W^T, or through the (k, 1, fan_in) row
+            # of a 1-wide layer as a broadcast multiply: a K=1 GEMM is
+            # one exact product per element either way
+            w_back=[
+                layer[:, 1:, 0][:, None, :] if layer.shape[2] == 1
+                else layer[:, 1:].transpose(0, 2, 1)
+                for layer in weights
+            ],
+            g_lin=[layer[:, 1:] for layer in grads],
+            g_bias=[layer[:, 0] for layer in grads],
+        )
+        self._workspaces[n_active] = ws
+        return ws
+
+    def _buffers(self, n_active: int, rows: int) -> SimpleNamespace:
+        """Per-batch pre-activation and delta buffers, one per layer.
+
+        The hidden activation and its derivative still allocate their
+        results: filling those through ``out=`` measured no faster."""
+        key = (n_active, rows)
+        buffers = self._batch_buffers.get(key)
+        if buffers is None:
+            widths = [shape[1] for _, _, shape in self._layout]
+            buffers = SimpleNamespace(
+                net=[np.empty((n_active, rows, w)) for w in widths],
+                delta=[np.empty((n_active, rows, w)) for w in widths],
+            )
+            self._batch_buffers[key] = buffers
+        return buffers
+
     def run_epoch(
         self,
         orders: np.ndarray,
@@ -471,9 +591,9 @@ class EnsembleTrainingKernel:
 
         Unlike :meth:`TrainingKernel.run_epoch` this does not raise on
         non-finite weights: one member diverging must not abort its
-        siblings' epoch.  Callers check :meth:`member_weights_finite`
-        per member afterwards and quarantine or reseed the failed slice
-        — the same epoch-granularity detection the per-fold guard gave.
+        siblings' epoch.  Callers check :meth:`members_finite`
+        afterwards and quarantine or reseed the failed slice — the same
+        epoch-granularity detection the per-fold guard gave.
         """
         idx = self.active_members
         n_active = len(idx)
@@ -496,72 +616,76 @@ class EnsembleTrainingKernel:
         x_ep = self.x[idx[:, None], orders]
         y_ep = self.y[idx[:, None], orders]
         full = n_active == self.n_members
-        # full-active epochs update the master tensors in place; partial
-        # epochs gather the active slices, train the copies, and scatter
-        # them back (the gather is a few KB per member — negligible next
-        # to one batch of activations)
-        if full:
-            weights = self.weights
-            velocity = self.velocity
-        else:
-            weights = [w[idx] for w in self.weights]
-            velocity = [v[idx] for v in self.velocity]
-        n_layers = len(weights)
+        ws = self._workspace(n_active)
+        if not full:
+            # partial epochs train gathered copies of the active rows
+            # and scatter them back: one fancy index per buffer
+            np.take(self._w, idx, axis=0, out=ws.w)
+            np.take(self._v, idx, axis=0, out=ws.v)
+        w_flat, v_flat, g_flat = ws.w, ws.v, ws.g
+        w_lin, w_bias, w_back = ws.w_lin, ws.w_bias, ws.w_back
+        g_lin, g_bias = ws.g_lin, ws.g_bias
+        n_layers = len(w_lin)
         last = n_layers - 1
         hidden_forward = self._hidden_forward
         hidden_deriv = self._hidden_deriv
         output_forward = self._output_forward
         output_deriv = self._output_deriv
-        lr_bias = learning_rates[:, None]
-        lr_weight = learning_rates[:, None, None]
+        identity_output = self._identity_output
+        lr = learning_rates[:, None]
         n = orders.shape[1]
-        # per-layer views, hoisted out of the batch loop: all updates
-        # below are in-place, so the views track every weight change
-        w_lin = [w[:, 1:] for w in weights]
-        w_lin_t = [w[:, 1:].transpose(0, 2, 1) for w in weights]
-        w_bias = [w[:, 0][:, None, :] for w in weights]
-        v_lin = [v[:, 1:] for v in velocity]
-        v_bias = [v[:, 0] for v in velocity]
 
         for start in range(0, n, batch_size):
             stop = start + batch_size
             xb = x_ep[:, start:stop]
             yb = y_ep[:, start:stop]
             m = xb.shape[1]
+            buffers = self._buffers(n_active, m)
 
             # -- forward: one stacked matmul per layer ------------------
             activations: List[np.ndarray] = [xb]
             a = xb
             for layer in range(n_layers):
-                net = a @ w_lin[layer] + w_bias[layer]
+                net = buffers.net[layer]
+                np.matmul(a, w_lin[layer], out=net)
+                net += w_bias[layer]
                 a = (
                     output_forward(net) if layer == last
                     else hidden_forward(net)
                 )
                 activations.append(a)
 
-            # -- backward + momentum update, output layer first ---------
-            delta = (a - yb) * output_deriv(a)
+            # -- backward into the gradient buffer, output layer first;
+            # backprop reads only pre-update weights, so every layer's
+            # update can wait for the flat step below
+            delta = np.subtract(a, yb, out=buffers.delta[last])
+            if not identity_output:
+                delta *= output_deriv(a)
             for layer in range(last, -1, -1):
                 previous = activations[layer]
-                v = velocity[layer]
-                grad_bias = delta.sum(axis=1) / m
-                grad = np.matmul(previous.transpose(0, 2, 1), delta) / m
+                np.add.reduce(delta, axis=1, out=g_bias[layer])
+                np.matmul(
+                    previous.transpose(0, 2, 1), delta, out=g_lin[layer]
+                )
                 if layer > 0:
-                    # propagate before updating: backprop must see the
-                    # pre-update weights, exactly as the per-fold path
-                    delta = np.matmul(
-                        delta, w_lin_t[layer]
-                    ) * hidden_deriv(previous)
-                v *= momentum
-                v_bias[layer] -= lr_bias * grad_bias
-                v_lin[layer] -= lr_weight * grad
-                weights[layer] += v
+                    back = buffers.delta[layer - 1]
+                    if delta.shape[2] == 1:
+                        np.multiply(delta, w_back[layer], out=back)
+                    else:
+                        np.matmul(delta, w_back[layer], out=back)
+                    back *= hidden_deriv(previous)
+                    delta = back
+
+            # -- Equation 3.2 momentum update, all layers at once ------
+            g_flat /= m
+            g_flat *= lr
+            v_flat *= momentum
+            v_flat -= g_flat
+            w_flat += v_flat
 
         if not full:
-            for layer in range(n_layers):
-                self.weights[layer][idx] = weights[layer]
-                self.velocity[layer][idx] = velocity[layer]
+            self._w[idx] = w_flat
+            self._v[idx] = v_flat
 
 
 # ----------------------------------------------------------------------

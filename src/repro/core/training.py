@@ -44,6 +44,7 @@ from .network import (
     DEFAULT_MOMENTUM,
     FeedForwardNetwork,
     TrainingDiverged,
+    WeightHealth,
 )
 
 #: prediction spread below which an early-stopping check counts as
@@ -77,6 +78,30 @@ def presentation_probabilities(
         return np.full(len(targets), 1.0 / len(targets))
     inverse = 1.0 / targets
     return inverse / inverse.sum()
+
+
+def presentation_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice(p=)`` samples.
+
+    ``cdf.searchsorted(rng.random(n), side="right")`` then reproduces
+    ``rng.choice(n, size=n, p=probabilities)`` bit for bit, row by row
+    from one ``rng.random((rows, n))`` block, without re-validating
+    ``p`` on every draw.  The validation ``choice`` would repeat per
+    call runs here once: finite, non-negative, summing to 1 within
+    ``sqrt(eps)``.
+    """
+    p = np.asarray(probabilities, dtype=np.float64)
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("presentation probabilities must be a 1-D vector")
+    if not np.isfinite(p).all():
+        raise ValueError("presentation probabilities must be finite")
+    if np.any(p < 0):
+        raise ValueError("presentation probabilities must be non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("presentation probabilities must sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -298,6 +323,7 @@ class _FoldProgram:
         self.probabilities = presentation_probabilities(
             y_train[:, 0], config.weight_by_inverse_target
         )
+        self.cdf = presentation_cdf(self.probabilities)
         self.attempt = 0
         self.done = False
         self.error: Optional[str] = None
@@ -335,10 +361,24 @@ class _FoldProgram:
         self.dead_streak = 0
         self.epoch = 0
         self.attempt_wall = 0.0
+        self.orders: Optional[np.ndarray] = None
 
     def draw_order(self) -> np.ndarray:
-        """This attempt's next weighted presentation order."""
-        return self.rng.choice(self.n, size=self.n, p=self.probabilities)
+        """This attempt's next weighted presentation order.
+
+        Orders come in blocks of ``check_interval`` epochs drawn from
+        one ``rng.random((check_interval, n))`` call, which consumes the
+        attempt's stream exactly as that many ``rng.choice(p=)`` calls
+        would.  A restart replaces the rng, so the unused rest of a
+        block is never needed.
+        """
+        row = self.epoch % self.cfg.check_interval
+        if row == 0:
+            self.orders = self.cdf.searchsorted(
+                self.rng.random((self.cfg.check_interval, self.n)),
+                side="right",
+            )
+        return self.orders[row]
 
     # -- early stopping and health checks --------------------------------
     def _diverged(
@@ -353,8 +393,17 @@ class _FoldProgram:
         )
         raise TrainingDiverged(message, reason=reason, epoch=epoch)
 
+    @property
+    def check_due(self) -> bool:
+        """Whether the epoch about to finish ends with an
+        early-stopping check."""
+        return (self.epoch + 1) % self.cfg.check_interval == 0
+
     def after_epoch(
-        self, kernel: EnsembleTrainingKernel, weights_finite: bool
+        self,
+        kernel: EnsembleTrainingKernel,
+        weights_finite: bool,
+        check: Optional[Tuple[WeightHealth, Optional[np.ndarray]]],
     ) -> None:
         """Post-epoch bookkeeping for this fold's member slice.
 
@@ -362,7 +411,11 @@ class _FoldProgram:
         decay and patience, with divergence handed to the
         restart/quarantine layer.  ``weights_finite`` is the member's
         entry of one batched
-        :meth:`EnsembleTrainingKernel.members_finite` check per epoch.
+        :meth:`EnsembleTrainingKernel.members_finite` check per epoch;
+        ``check`` is the member's weight health and early-stopping
+        outputs (``None`` when the weights are unhealthy) from
+        :meth:`StackedEnsembleTrainer._batched_checks`, given whenever
+        :attr:`check_due` and the weights are finite, else ``None``.
         """
         cfg = self.cfg
         self.epoch += 1
@@ -377,7 +430,7 @@ class _FoldProgram:
                 )
             self.history.epochs_run = epoch
             if epoch % cfg.check_interval == 0:
-                self._run_check(kernel, epoch)
+                self._run_check(kernel, epoch, *check)
         except TrainingDiverged as exc:
             self._restart_or_quarantine(kernel, exc)
             return
@@ -385,11 +438,14 @@ class _FoldProgram:
             self._complete(kernel)
 
     def _run_check(
-        self, kernel: EnsembleTrainingKernel, epoch: int
+        self,
+        kernel: EnsembleTrainingKernel,
+        epoch: int,
+        health: WeightHealth,
+        outputs: Optional[np.ndarray],
     ) -> None:
         cfg = self.cfg
         history = self.history
-        health = kernel.member_weight_health(self.member)
         if not health.ok(cfg.max_weight):
             reason = (
                 "weight explosion" if health.finite else "non-finite weights"
@@ -403,10 +459,12 @@ class _FoldProgram:
                 max_abs=health.max_abs,
                 saturation=health.saturation,
             )
-        try:
-            outputs = kernel.predict_member(self.member, self.x_es)
-        except TrainingDiverged as exc:
-            self._diverged(str(exc), reason=exc.reason, epoch=epoch)
+        if not np.isfinite(outputs).all():
+            self._diverged(
+                "network output contains non-finite values",
+                reason="non-finite output",
+                epoch=epoch,
+            )
         raw = outputs[:, 0]
         predictions = self.scaler.inverse_transform(outputs)[:, 0]
         es_error = float(np.mean(percentage_errors(predictions, self.y_es)))
@@ -616,6 +674,8 @@ class StackedEnsembleTrainer:
             [program.x_train for program in group],
             [program.y_norm for program in group],
         )
+        # one presentation row per fold, filled in place every epoch
+        orders = np.empty((len(group), kernel.n_samples), dtype=np.intp)
         while True:
             active = [program for program in group if not program.done]
             if not active:
@@ -623,19 +683,66 @@ class StackedEnsembleTrainer:
             step_start = time.perf_counter()
             # one weighted presentation draw per active fold, from that
             # fold's own attempt rng
-            orders = np.stack([program.draw_order() for program in active])
+            for row, program in enumerate(active):
+                orders[row] = program.draw_order()
             learning_rates = np.array(
                 [program.learning_rate for program in active]
             )
             kernel.run_epoch(
-                orders, cfg.batch_size, learning_rates, cfg.momentum
+                orders[: len(active)],
+                cfg.batch_size,
+                learning_rates,
+                cfg.momentum,
             )
             finite = kernel.members_finite()
+            checks = self._batched_checks(
+                kernel,
+                [
+                    program for program in active
+                    if program.check_due and finite[program.member]
+                ],
+            )
             for program in active:
-                program.after_epoch(kernel, bool(finite[program.member]))
+                program.after_epoch(
+                    kernel,
+                    bool(finite[program.member]),
+                    checks.get(program.member),
+                )
             # attribute the step's wall time equally across the folds it
             # advanced, keeping per-fold wall_s an honest work share
             share = (time.perf_counter() - step_start) / len(active)
             for program in active:
                 program.wall_s += share
                 program.attempt_wall += share
+
+    def _batched_checks(
+        self, kernel: EnsembleTrainingKernel, due: List[_FoldProgram]
+    ) -> Dict[int, Tuple[WeightHealth, Optional[np.ndarray]]]:
+        """Weight health and early-stopping outputs for every fold due a
+        check this epoch, keyed by member.
+
+        Health comes from one batched pass over the due members; the
+        healthy ones sharing an early-stopping length get their outputs
+        from one stacked forward pass.  Each fold judges its own slice
+        afterwards, so a diverged sibling cannot affect it.
+        """
+        if not due:
+            return {}
+        healths = kernel.members_weight_health(
+            [program.member for program in due]
+        )
+        by_length: Dict[int, List[_FoldProgram]] = {}
+        for program, health in zip(due, healths):
+            if health.ok(self.config.max_weight):
+                by_length.setdefault(len(program.x_es), []).append(program)
+        outputs: Dict[int, np.ndarray] = {}
+        for programs in by_length.values():
+            members = [program.member for program in programs]
+            block = kernel.predict_members(
+                members, np.stack([program.x_es for program in programs])
+            )
+            outputs.update(zip(members, block))
+        return {
+            program.member: (health, outputs.get(program.member))
+            for program, health in zip(due, healths)
+        }

@@ -222,6 +222,83 @@ class TestEnsembleTrainingKernel:
             )
         assert stacked.member_weight_health(0).saturation > 0
 
+    def test_layers_are_views_of_flat_buffers(self):
+        """Weights and velocity live in one contiguous (members, P)
+        buffer each; every per-layer tensor is a view into it."""
+        stacked = EnsembleTrainingKernel(
+            *zip(*[_member(i, (8, 5), "tanh", 3) for i in range(3)])
+        )
+        n_params = sum(w[0].size for w in stacked.weights)
+        assert stacked.n_params == n_params
+        for flat, layers in (
+            (stacked._w, stacked.weights),
+            (stacked._v, stacked.velocity),
+        ):
+            assert flat.shape == (3, n_params) and flat.flags.c_contiguous
+            assert all(layer.base is not None for layer in layers)
+            assert all(np.shares_memory(layer, flat) for layer in layers)
+        weights = stacked.get_member_weights(1)
+        weights[2][0, 1] = 42.0
+        stacked.set_member_weights(1, weights)
+        assert np.count_nonzero(stacked._w == 42.0) == 1
+        stacked.run_epoch(
+            np.stack([_orders(i, 1)[0] for i in range(3)]),
+            8,
+            np.full(3, 0.05),
+            0.9,
+        )
+        stacked.reset_member_velocity(2)
+        assert not stacked._v[2].any() and stacked._v[0].any()
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [],
+            [(0, 1, 1, np.nan)],
+            [(1, 2, 0, np.inf)],
+            [(0, 0, 0, np.nan), (2, 1, 1, 50.0)],
+            [(2, 1, 0, -np.inf), (0, 1, 1, np.nan)],
+            [(1, 0, 0, 9.0)],
+        ],
+        ids=["healthy", "nan", "inf", "nan-then-large", "inf-and-nan",
+             "saturated"],
+    )
+    def test_batched_weight_health_mirrors_network(self, edits):
+        """Python's ``max`` skips a NaN layer maximum; the batched fold
+        must do the same, member by member."""
+        stacked = EnsembleTrainingKernel(
+            *zip(*[_member(i, (5, 3), "tanh", 2) for i in range(3)])
+        )
+        weights = stacked.get_member_weights(1)
+        for layer, row, col, value in edits:
+            weights[layer][row, col] = value
+        stacked.set_member_weights(1, weights)
+        batched = stacked.members_weight_health([2, 1, 0])
+        for member, got in zip([2, 1, 0], batched):
+            want = stacked.sync_member(member).weight_health()
+            assert got == want
+            assert stacked.member_weight_health(member) == want
+
+    def test_predict_members_matches_predict_member(self):
+        stacked = EnsembleTrainingKernel(
+            *zip(*[_member(i, (8, 5), "sigmoid", 3) for i in range(4)])
+        )
+        stacked.run_epoch(
+            np.stack([_orders(i, 1)[0] for i in range(4)]),
+            7,
+            np.full(4, 0.05),
+            0.9,
+        )
+        probes = np.random.default_rng(5).random((2, 9, N_FEATURES))
+        block = stacked.predict_members([3, 1], probes)
+        assert block.shape == (2, 9, 3)
+        for got, member, probe in zip(block, [3, 1], probes):
+            network = stacked.sync_member(member)
+            np.testing.assert_array_equal(got, network.predict(probe))
+            np.testing.assert_array_equal(
+                got, stacked.predict_member(member, probe)
+            )
+
     def test_ragged_training_sets_rejected(self):
         (net_a, x_a, y_a), (net_b, x_b, y_b) = (
             _member(0, (6,), "sigmoid", 1),

@@ -9,6 +9,7 @@ from repro.core.training import (
     FoldTask,
     StackedEnsembleTrainer,
     TrainingConfig,
+    presentation_cdf,
     presentation_probabilities,
 )
 
@@ -88,6 +89,34 @@ class TestPresentationWeighting:
     def test_rejects_nonpositive_targets(self):
         with pytest.raises(ValueError):
             presentation_probabilities(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 180])
+    def test_cdf_block_draws_match_choice(self, n):
+        """Rows of one ``rng.random((rows, n))`` block searched in the
+        cached CDF are ``rng.choice(p=)`` draws, bit for bit."""
+        targets = np.random.default_rng(n).uniform(0.01, 3.0, n)
+        probabilities = presentation_probabilities(targets)
+        cdf = presentation_cdf(probabilities)
+        one, block = np.random.default_rng(9), np.random.default_rng(9)
+        want = [one.choice(n, size=n, p=probabilities) for _ in range(10)]
+        got = cdf.searchsorted(block.random((10, n)), side="right")
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
+        # both streams are left at the same state
+        assert one.random() == block.random()
+
+    @pytest.mark.parametrize(
+        "p, match",
+        [
+            ([0.5, np.nan], "finite"),
+            ([1.5, -0.5], "non-negative"),
+            ([0.5, 0.4], "sum to 1"),
+            ([[0.5, 0.5]], "1-D"),
+        ],
+    )
+    def test_cdf_validates_once(self, p, match):
+        with pytest.raises(ValueError, match=match):
+            presentation_cdf(np.array(p))
 
 
 class TestTraining:
