@@ -1,5 +1,7 @@
 """Tests for the figure/table harnesses (small-scale runs)."""
 
+import importlib
+
 import pytest
 
 from repro.core.training import TrainingConfig
@@ -124,6 +126,35 @@ class TestRenderers:
         gaps = compare_with_noiseless(noisy, clean)
         assert gaps[50] == pytest.approx(1.0)
         assert gaps[100] == pytest.approx(1.0)
+
+
+class TestHarnessDefaults:
+    """The Chapter 5 curve harnesses are defined over the scalar-IPC
+    studies; by default they must never reach a multi-target study,
+    whose full-space ground truth does not exist."""
+
+    @pytest.mark.parametrize("harness", ["learning", "estimation"])
+    def test_default_studies_are_scalar(self, monkeypatch, harness):
+        from repro.experiments import SCALAR_STUDY_NAMES, estimation_curves
+        from repro.experiments.studies import get_study
+
+        seen = []
+
+        def fake_run(study, benchmark, **kwargs):
+            seen.append(study)
+            return synthetic_curve([8.0, 3.0])
+
+        # the package re-exports the function under the module's name
+        monkeypatch.setattr(
+            importlib.import_module("repro.experiments.learning_curves"),
+            "run_learning_curve",
+            fake_run,
+        )
+        run = learning_curves if harness == "learning" else estimation_curves
+        curves = run(benchmarks=("mcf",))
+        assert tuple(dict.fromkeys(seen)) == SCALAR_STUDY_NAMES
+        assert not any(get_study(study).is_multi_target for study in seen)
+        assert set(curves) == {(study, "mcf") for study in SCALAR_STUDY_NAMES}
 
 
 @pytest.mark.slow
