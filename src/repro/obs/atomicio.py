@@ -29,12 +29,31 @@ import io
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Mapping, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
 PathLike = Union[str, Path]
 T = TypeVar("T")
+
+
+def _create_temp(path: Path) -> Tuple[int, str]:
+    """Create and open a fresh temporary file beside ``path``.
+
+    The file is created with mode ``0o666`` less the umask, the mode a
+    plain ``open(path, "w")`` gives, rather than :func:`tempfile.mkstemp`'s
+    owner-only ``0o600``, which would survive the rename and make every
+    artifact (a shared cache directory's entries included) unreadable
+    to anyone but the writer.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for _ in range(tempfile.TMP_MAX):
+        tmp = str(path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temporary name beside {path}")
 
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> None:
@@ -46,9 +65,7 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     (if it existed) is left untouched.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

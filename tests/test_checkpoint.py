@@ -5,6 +5,9 @@ import io
 import json
 import os
 import pickle
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +110,29 @@ class TestAtomicWrites:
         atomic_write_text(path, "replaced\n")
         assert path.read_text() == "replaced\n"
         assert os.listdir(tmp_path) == ["out.json"]
+
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+    )
+    def test_new_files_get_the_umask_mode(self, tmp_path, umask, mode):
+        """Artifacts get the mode a plain ``open(path, "w")`` would, so a
+        cache directory shared between users stays readable."""
+        script = (
+            "import os, sys, numpy as np\n"
+            "from repro.obs import atomic_write_arrays, atomic_write_text\n"
+            f"os.umask({umask:#o})\n"
+            "atomic_write_arrays(sys.argv[1], {'a': np.arange(3)})\n"
+            "atomic_write_text(sys.argv[2], 'x')\n"
+        )
+        paths = [tmp_path / "entry.npz", tmp_path / "run.json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run(
+            [sys.executable, "-c", script, *map(str, paths)],
+            check=True,
+            env=env,
+        )
+        for path in paths:
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
     def test_bytes_roundtrip(self, tmp_path):
         path = tmp_path / "blob.bin"
