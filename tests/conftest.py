@@ -19,6 +19,19 @@ from repro.workloads import generate_trace
 SHORT_TRACE = 8_000
 
 
+@pytest.fixture(scope="session", autouse=True)
+def isolated_cache_dir(tmp_path_factory):
+    """Point ``REPRO_CACHE_DIR`` at a fresh per-session directory, so no
+    test reads what an earlier run left in the user's real cache (or
+    writes into it).  Subprocesses inherit it; tests that set the
+    variable themselves (``monkeypatch.setenv``) still win."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache"))
+        )
+        yield
+
+
 @pytest.fixture(scope="session")
 def gzip_trace():
     return generate_trace("gzip", SHORT_TRACE)
