@@ -26,7 +26,6 @@ deprecation policy: anything else may move without notice.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -240,7 +239,6 @@ def fit_ensemble(
     seed: Optional[int] = None,
     context: Optional[RunContext] = None,
     min_folds: Optional[int] = None,
-    engine: Optional[str] = None,
     target_names: tuple = (),
 ) -> FitOutcome:
     """Fit one k-fold cross-validation ensemble on encoded samples.
@@ -255,19 +253,7 @@ def fit_ensemble(
     Returns a :class:`FitOutcome` whose ``ensemble.predictor`` is the
     trained :class:`EnsemblePredictor` and whose ``estimate`` is the
     cross-validation :class:`ErrorEstimate`.
-
-    ``engine`` is deprecated and ignored: every fit trains its folds
-    through the one stacked fold program, and ``context.n_jobs`` only
-    chooses where the folds train.
     """
-    if engine is not None:
-        warnings.warn(
-            "fit_ensemble(engine=...) is deprecated and ignored: every "
-            "fit runs the stacked fold program; use context=RunContext("
-            "n_jobs=...) to choose where folds train (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return fit_cv_round(
         x,
         y,

@@ -141,22 +141,6 @@ def test_fit_ensemble_and_predict_space(
     )
 
 
-def test_fit_ensemble_engine_is_a_deprecated_no_op(tiny_space, fast_training):
-    matrix = design_matrix(tiny_space)
-    idx = np.random.default_rng(0).choice(len(matrix), 16, replace=False)
-    x = matrix[idx]
-    y = 1.0 + x.sum(axis=1)
-    plain = fit_ensemble(x, y, k=4, training=fast_training, seed=3)
-    with pytest.warns(DeprecationWarning, match="engine"):
-        legacy = fit_ensemble(
-            x, y, k=4, training=fast_training, seed=3, engine="perfold"
-        )
-    assert legacy.estimate == plain.estimate
-    np.testing.assert_array_equal(
-        legacy.ensemble.predict(x), plain.ensemble.predict(x)
-    )
-
-
 def test_get_study_and_simulate_fn_importable_from_api():
     study = get_study("memory-system")
     assert len(study.space) == 23040
@@ -228,13 +212,16 @@ def _environment_with(keyword):
         _environment_with("telemetry"),
         _environment_with("metrics"),
         _environment_with("sampler"),
+        lambda space: fit_ensemble(
+            np.ones((8, 2)), np.ones(8), seed=0, engine="perfold"
+        ),
     ],
     ids=[
         "crossval-rng", "crossval-n_jobs", "crossval-telemetry",
         "crossval-metrics", "crossapp-rng", "retry-max_attempts",
         "explore-rng", "explore-telemetry", "explore-metrics",
         "explore-sampler", "explorer-rng", "explorer-telemetry",
-        "explorer-metrics", "explorer-sampler",
+        "explorer-metrics", "explorer-sampler", "fit_ensemble-engine",
     ],
 )
 def test_expired_keywords_are_rejected(build, tiny_space):
