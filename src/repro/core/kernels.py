@@ -549,17 +549,27 @@ class EnsembleTrainingKernel:
         return ws
 
     def _buffers(self, n_active: int, rows: int) -> SimpleNamespace:
-        """Per-batch pre-activation and delta buffers, one per layer.
+        """Per-batch pre-activation and delta buffers, one per layer:
+        the leading ``n_active`` members of one all-member allocation
+        per batch length.
 
         The hidden activation and its derivative still allocate their
         results: filling those through ``out=`` measured no faster."""
         key = (n_active, rows)
         buffers = self._batch_buffers.get(key)
         if buffers is None:
-            widths = [shape[1] for _, _, shape in self._layout]
+            full = self._batch_buffers.get((self.n_members, rows))
+            if full is None:
+                widths = [shape[1] for _, _, shape in self._layout]
+                shape = (self.n_members, rows)
+                full = SimpleNamespace(
+                    net=[np.empty(shape + (w,)) for w in widths],
+                    delta=[np.empty(shape + (w,)) for w in widths],
+                )
+                self._batch_buffers[(self.n_members, rows)] = full
             buffers = SimpleNamespace(
-                net=[np.empty((n_active, rows, w)) for w in widths],
-                delta=[np.empty((n_active, rows, w)) for w in widths],
+                net=[buffer[:n_active] for buffer in full.net],
+                delta=[buffer[:n_active] for buffer in full.delta],
             )
             self._batch_buffers[key] = buffers
         return buffers

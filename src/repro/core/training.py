@@ -320,10 +320,11 @@ class _FoldProgram:
         self.metrics = metrics
         self.n = len(x_train)
         # fixed targets: one probability computation per fold
-        self.probabilities = presentation_probabilities(
-            y_train[:, 0], config.weight_by_inverse_target
+        self.cdf = presentation_cdf(
+            presentation_probabilities(
+                y_train[:, 0], config.weight_by_inverse_target
+            )
         )
-        self.cdf = presentation_cdf(self.probabilities)
         self.attempt = 0
         self.done = False
         self.error: Optional[str] = None
