@@ -309,21 +309,17 @@ class EnsembleTrainingKernel:
             self._layout.append((start, stop, shape))
             start = stop
         self.n_params = start
-        self._w = np.concatenate(
+        self._w = np.stack(
             [
-                np.stack([network.weights[layer] for network in networks])
-                .reshape(self.n_members, -1)
-                for layer in range(len(shapes))
-            ],
-            axis=1,
+                np.concatenate([w.ravel() for w in network.weights])
+                for network in networks
+            ]
         )
-        self._v = np.concatenate(
+        self._v = np.stack(
             [
-                np.stack([network._velocity[layer] for network in networks])
-                .reshape(self.n_members, -1)
-                for layer in range(len(shapes))
-            ],
-            axis=1,
+                np.concatenate([v.ravel() for v in network._velocity])
+                for network in networks
+            ]
         )
         #: per-layer ``(m, fan_in + 1, fan_out)`` views of the buffers
         self.weights: List[np.ndarray] = self._layer_views(self._w)
